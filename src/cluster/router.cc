@@ -10,10 +10,10 @@ namespace sap {
 namespace {
 
 /**
- * splitmix64 finalizer. FNV-1a digests have weak avalanche: inputs
- * differing only in trailing bytes (vnode labels, similar matrices)
- * produce digests clustered in a narrow arc, which would starve
- * shards of ring coverage. Mixing every ring point and lookup key
+ * splitmix64 finalizer. Plan digests are folded together by the
+ * weak combineDigests mix, so plans differing in one component can
+ * land in a narrow arc of the ring, which would starve shards of
+ * ring coverage. Mixing every ring point and lookup key
  * through a full-avalanche finalizer spreads them uniformly without
  * giving up determinism.
  */

@@ -24,18 +24,13 @@ MatVecPlan::MatVecPlan(const Dense<Scalar> &a, Index w)
 BandMatVecSpec
 MatVecPlan::makeSpec(const Vec<Scalar> &x, const Vec<Scalar> &b) const
 {
-    const MatVecDims &d = dims();
     BandMatVecSpec spec;
     spec.abar = &transform_.abar();
     spec.aSchedule = &asched_;
     spec.xbar = transform_.transformX(x);
     spec.bIsExternal = b_external_;
     spec.yIsFinal = y_final_;
-    spec.externalB = Vec<Scalar>(d.barRows());
-    for (Index i = 0; i < d.barRows(); ++i) {
-        if (b_external_[i])
-            spec.externalB[i] = transform_.externalB(b, i);
-    }
+    spec.externalB = transform_.transformB(b);
     return spec;
 }
 

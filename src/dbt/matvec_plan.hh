@@ -114,6 +114,11 @@ class MatVecPlan
                             const Vec<Scalar> &b) const;
 
   private:
+    /** The semantics replay shared by the three run*Semantics:
+     *  the full transformed output ȳ for (x, b). */
+    Vec<Scalar> replayBand(const Vec<Scalar> &x,
+                           const Vec<Scalar> &b) const;
+
     MatVecTransform transform_;
     /** Coefficient firing schedule (depends only on the band):
      *  built once here so every run streams it. */

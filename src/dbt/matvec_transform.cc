@@ -1,5 +1,7 @@
 #include "dbt/matvec_transform.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "base/math_util.hh"
 #include "mat/triangular.hh"
@@ -63,22 +65,37 @@ MatVecTransform::transformX(const Vec<Scalar> &x) const
 {
     SAP_ASSERT(x.size() == dims_.m, "x has ", x.size(),
                " elements, expected ", dims_.m);
-    Vec<Scalar> xp = x.paddedTo(dims_.mbar * dims_.w);
+    const Index w = dims_.w;
+    const Vec<Scalar> xp = x.paddedTo(dims_.mbar * w);
 
+    // Block k carries x_{k mod m̄}; the (w−1)-element tail x^∂ is the
+    // first w−1 elements of the block that follows the last L̄ (for
+    // DBT-by-rows this is x_0).
     Vec<Scalar> xbar(dims_.barCols());
-    Index pos = 0;
     for (Index k = 0; k < dims_.blockCount(); ++k) {
-        Index s = k % dims_.mbar;
-        for (Index t = 0; t < dims_.w; ++t)
-            xbar[pos++] = xp[s * dims_.w + t];
+        const Scalar *src = xp.raw() + (k % dims_.mbar) * w;
+        std::copy(src, src + w, xbar.raw() + k * w);
     }
-    // Tail x^∂: the first w-1 elements of the block that follows the
-    // last L̄ (for DBT-by-rows this is x_0).
-    Index s_tail = dims_.blockCount() % dims_.mbar; // == 0
-    for (Index t = 0; t < dims_.w - 1; ++t)
-        xbar[pos++] = xp[s_tail * dims_.w + t];
-    SAP_ASSERT(pos == dims_.barCols(), "x̄ fill mismatch");
+    std::copy(xp.raw(), xp.raw() + (w - 1),
+              xbar.raw() + dims_.blockCount() * w);
     return xbar;
+}
+
+Vec<Scalar>
+MatVecTransform::transformB(const Vec<Scalar> &b) const
+{
+    SAP_ASSERT(b.size() == dims_.n, "b has ", b.size(),
+               " elements, expected ", dims_.n);
+    const Index w = dims_.w;
+    Vec<Scalar> bbar(dims_.barRows());
+    // Block row k is external exactly when k mod m̄ == 0 (bSourceOf):
+    // the first band block of original block row r injects b_r.
+    for (Index r = 0; r < dims_.nbar; ++r) {
+        const Index len = std::min(w, dims_.n - r * w);
+        std::copy(b.raw() + r * w, b.raw() + r * w + len,
+                  bbar.raw() + r * dims_.mbar * w);
+    }
+    return bbar;
 }
 
 bool
@@ -111,28 +128,19 @@ MatVecTransform::scalarIsFinalY(Index i) const
     return ySinkOf(i / dims_.w) == YSink::Emit;
 }
 
-Index
-MatVecTransform::finalYIndex(Index i) const
-{
-    SAP_ASSERT(scalarIsFinalY(i), "row ", i, " recirculates");
-    Index k = i / dims_.w;
-    Index t = i % dims_.w;
-    Index r = k / dims_.mbar;
-    return r * dims_.w + t;
-}
-
 Vec<Scalar>
 MatVecTransform::extractY(const Vec<Scalar> &ybar) const
 {
     SAP_ASSERT(ybar.size() == dims_.barRows(), "ȳ has ", ybar.size(),
                " elements, expected ", dims_.barRows());
+    const Index w = dims_.w;
     Vec<Scalar> y(dims_.n);
-    for (Index i = 0; i < dims_.barRows(); ++i) {
-        if (!scalarIsFinalY(i))
-            continue;
-        Index dst = finalYIndex(i);
-        if (dst < dims_.n)
-            y[dst] = ybar[i];
+    // The last band block of original block row r emits y_r
+    // (ySinkOf); rows past n are padding and are dropped.
+    for (Index r = 0; r < dims_.nbar; ++r) {
+        const Index len = std::min(w, dims_.n - r * w);
+        const Scalar *src = ybar.raw() + ((r + 1) * dims_.mbar - 1) * w;
+        std::copy(src, src + len, y.raw() + r * w);
     }
     return y;
 }

@@ -117,6 +117,13 @@ class MatVecTransform
     Vec<Scalar> transformX(const Vec<Scalar> &x) const;
 
     /**
+     * Build the transformed vector b̄ from the original b (length
+     * n): each external row holds its b element (zero on padded
+     * rows), each fed-back row holds zero.
+     */
+    Vec<Scalar> transformB(const Vec<Scalar> &b) const;
+
+    /**
      * External b̄ scalar for transformed scalar row i.
      *
      * @pre scalarIsExternalB(i) is true.
@@ -128,14 +135,6 @@ class MatVecTransform
 
     /** True if transformed scalar row i emits a final y element. */
     bool scalarIsFinalY(Index i) const;
-
-    /**
-     * Original y index for a final transformed scalar row i.
-     *
-     * @pre scalarIsFinalY(i). May point into the padded region; the
-     * extractor drops padded entries.
-     */
-    Index finalYIndex(Index i) const;
 
     /**
      * Gather the final y (length n) from the full transformed ȳ

@@ -76,6 +76,13 @@ class Band
         return data_[slot(r, off)];
     }
 
+    /**
+     * Row-major band storage, for kernels that check the shape once
+     * instead of per element: (r, c) lives at
+     * r·bandwidth() + (c − r) + sub(); out-of-matrix slots hold T{}.
+     */
+    const T *raw() const { return data_.data(); }
+
     /** Mutable reference to an in-band element. */
     T &
     ref(Index r, Index c)

@@ -63,6 +63,12 @@ class Dense
     /** Raw storage access (row-major). */
     const std::vector<T> &data() const { return data_; }
 
+    /** Row-major element pointer, for bulk copies and kernels that
+     *  check the shape once instead of per element. */
+    T *raw() { return data_.data(); }
+    /** @copydoc raw() */
+    const T *raw() const { return data_.data(); }
+
     /** @return a new matrix that is the transpose of this one. */
     Dense
     transposed() const

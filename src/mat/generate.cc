@@ -40,6 +40,16 @@ randomRealDense(Index rows, Index cols, std::uint64_t seed, double lo,
     return a;
 }
 
+Vec<Scalar>
+randomRealVec(Index n, std::uint64_t seed, double lo, double hi)
+{
+    Rng rng(seed);
+    Vec<Scalar> v(n);
+    for (Index i = 0; i < n; ++i)
+        v[i] = rng.uniformReal(lo, hi);
+    return v;
+}
+
 Dense<Scalar>
 randomBlockSparse(Index rows, Index cols, Index w, double zero_prob,
                   std::uint64_t seed)

@@ -34,6 +34,10 @@ Vec<Scalar> randomIntVec(Index n, std::uint64_t seed, Index lo = 1,
 Dense<Scalar> randomRealDense(Index rows, Index cols, std::uint64_t seed,
                               double lo = -1.0, double hi = 1.0);
 
+/** Vector with uniform real entries in [lo, hi). */
+Vec<Scalar> randomRealVec(Index n, std::uint64_t seed, double lo = -1.0,
+                          double hi = 1.0);
+
 /**
  * Block-sparse matrix: a dense matrix whose w-by-w blocks are
  * entirely zero with probability @p zero_prob; surviving blocks are

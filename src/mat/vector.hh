@@ -91,6 +91,12 @@ class Vec
     /** Underlying storage. */
     const std::vector<T> &data() const { return data_; }
 
+    /** Element pointer, for bulk copies and kernels that check the
+     *  length once instead of per element. */
+    T *raw() { return data_.data(); }
+    /** @copydoc raw() */
+    const T *raw() const { return data_.data(); }
+
   private:
     std::vector<T> data_;
 };

@@ -8,6 +8,13 @@
 
 namespace sap {
 
+// Scalars travel as little-endian IEEE-754 bit patterns; on a
+// little-endian host that is their in-memory layout, so operands move
+// with one bulk copy each (WireWriter/WireReader::scalars).
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "the bulk scalar codec assumes a little-endian host");
+static_assert(sizeof(Scalar) == 8, "Scalar must be a 64-bit double");
+
 namespace {
 
 /** Set @p error (when non-null) and return false. */
@@ -87,11 +94,18 @@ WireWriter::str(const std::string &s)
 }
 
 void
+WireWriter::scalars(const Scalar *p, Index n)
+{
+    const auto *bytes = reinterpret_cast<const std::uint8_t *>(p);
+    bytes_.insert(bytes_.end(), bytes,
+                  bytes + static_cast<std::size_t>(n) * sizeof(Scalar));
+}
+
+void
 WireWriter::vec(const Vec<Scalar> &v)
 {
     i64(v.size());
-    for (Index i = 0; i < v.size(); ++i)
-        f64(v[i]);
+    scalars(v.raw(), v.size());
 }
 
 void
@@ -99,9 +113,7 @@ WireWriter::dense(const Dense<Scalar> &m)
 {
     i64(m.rows());
     i64(m.cols());
-    for (Index r = 0; r < m.rows(); ++r)
-        for (Index c = 0; c < m.cols(); ++c)
-            f64(m(r, c));
+    scalars(m.raw(), m.rows() * m.cols());
 }
 
 //----------------------------------------------------------------------
@@ -179,17 +191,24 @@ WireReader::str(std::string *out)
     return true;
 }
 
+void
+WireReader::scalars(Scalar *out, std::uint64_t n)
+{
+    const std::size_t len = static_cast<std::size_t>(n) * sizeof(Scalar);
+    if (len != 0)
+        std::memcpy(out, data_ + pos_, len);
+    pos_ += len;
+}
+
 bool
 WireReader::vec(Vec<Scalar> *out)
 {
     std::int64_t n;
     if (!i64(&n) || n < 0 || n > kMaxWireDim ||
-        static_cast<std::size_t>(n) > remaining() / 8)
+        static_cast<std::uint64_t>(n) > remaining() / sizeof(Scalar))
         return false;
     Vec<Scalar> v(n);
-    for (Index i = 0; i < n; ++i)
-        if (!f64(&v[i]))
-            return false;
+    scalars(v.raw(), static_cast<std::uint64_t>(n));
     *out = std::move(v);
     return true;
 }
@@ -204,16 +223,14 @@ WireReader::dense(Dense<Scalar> *out)
         cols > kMaxWireDim)
         return false;
     // rows*cols fits in 64 bits after the per-dimension caps; the
-    // remaining() bound rejects lengths the payload cannot back.
+    // remaining() bound rejects lengths the payload cannot back
+    // before anything is allocated.
     std::uint64_t count = static_cast<std::uint64_t>(rows) *
                           static_cast<std::uint64_t>(cols);
-    if (count > remaining() / 8)
+    if (count > remaining() / sizeof(Scalar))
         return false;
     Dense<Scalar> m(rows, cols);
-    for (Index r = 0; r < rows; ++r)
-        for (Index c = 0; c < cols; ++c)
-            if (!f64(&m(r, c)))
-                return false;
+    scalars(m.raw(), count);
     *out = std::move(m);
     return true;
 }

@@ -182,6 +182,9 @@ class WireWriter
     std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
   private:
+    /** @p n elements as f64, in one bulk copy. */
+    void scalars(const Scalar *p, Index n);
+
     std::vector<std::uint8_t> bytes_;
 };
 
@@ -218,6 +221,10 @@ class WireReader
     std::size_t remaining() const { return size_ - pos_; }
 
   private:
+    /** @p n f64 elements into @p out, in one bulk copy.
+     *  @pre the caller checked n ≤ remaining() / 8. */
+    void scalars(Scalar *out, std::uint64_t n);
+
     const std::uint8_t *data_;
     std::size_t size_;
     std::size_t pos_ = 0;
@@ -342,7 +349,9 @@ std::vector<std::uint8_t> buildMetricsFrame(std::uint64_t tag,
  * it decoded for routing — no re-encode). @p digest MUST equal
  * planDigest() of the embedded request; it is a cache/routing hint,
  * and correctness never depends on it (the plan cache confirms every
- * digest hit with an exact matrix comparison).
+ * digest hit with an exact matrix comparison). The digest is internal
+ * to one build (serve/fingerprint.hh): a gateway and a backend from
+ * different builds may disagree on it, and then only lose cache hits.
  *
  * Layout: u64 digest | u8 ctx-present (0 or 1) | [trace-context
  * block when 1] | embedded SUBMIT payload. @p ctx (optional) is the

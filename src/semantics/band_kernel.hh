@@ -13,32 +13,42 @@
  * the cycle simulation — which is what lets the fast execution mode
  * (engine/engine.hh, ExecMode::Fast) serve numerics without paying
  * for simulation, and what validate mode diffs against.
+ *
+ * Lane blocking. Feedback reads ȳ_{i−w}, so rows i … i+w−1 never
+ * depend on each other: the kernel steps up to 8 rows of such a
+ * block together, one diagonal d at a time, each row in its own
+ * register accumulator (a lane), so the rows' add chains overlap
+ * instead of waiting on each other. Every row still sees its own
+ * accumulations in ascending d with the same expression, so the
+ * blocking changes which rows share a loop iteration, never the
+ * value any row computes (no reassociation; the library builds with
+ * -ffp-contract=off so `acc + a·x` is never fused into an FMA).
  */
 
 #ifndef SAP_SEMANTICS_BAND_KERNEL_HH
 #define SAP_SEMANTICS_BAND_KERNEL_HH
 
-#include "mat/vector.hh"
-#include "sim/linear_driver.hh"
+#include <cstdint>
+
+#include "base/types.hh"
 
 namespace sap {
 
-/** Output of the band mat-vec semantics kernel. */
-struct BandMatVecSemantics
-{
-    /** Complete transformed output ȳ (finals and partials),
-     *  bit-identical to LinearRunResult::ybar. */
-    Vec<Scalar> ybar;
-    /** True if any row consumed the feedback path (m̄ ≥ 2). */
-    bool usedFeedback = false;
-};
-
 /**
- * Replay @p spec in the array's operation order on the host.
+ * Replay the band mat-vec accumulation of @p rows rows on a w-wide
+ * array, in place in @p ybar.
  *
- * @pre spec passes BandMatVecSpec::validate().
+ * @param a Ā in Band's row-major storage (Band::raw() of an upper
+ *        band): a[i·w + d] = ā(i, i+d), rows·w entries.
+ * @param xbar x̄, rows + w − 1 entries.
+ * @param bIsExternal Per row: nonzero = ybar[i] already holds the
+ *        external b̄_i; zero = the row starts from the fed-back
+ *        ȳ_{i−w} (@pre i ≥ w for such rows).
+ * @param ybar In: b̄_i on external rows. Out: ȳ, rows entries.
  */
-BandMatVecSemantics runBandMatVecSemantics(const BandMatVecSpec &spec);
+void bandMatVecKernel(Index rows, Index w, const Scalar *a,
+                      const Scalar *xbar,
+                      const std::uint8_t *bIsExternal, Scalar *ybar);
 
 } // namespace sap
 

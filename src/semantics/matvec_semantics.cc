@@ -11,29 +11,42 @@
 #include <algorithm>
 
 #include "analysis/formulas.hh"
+#include "base/logging.hh"
 #include "base/math_util.hh"
-#include "dbt/interleave.hh"
 #include "dbt/matvec_plan.hh"
 #include "semantics/band_kernel.hh"
 
 namespace sap {
 
+Vec<Scalar>
+MatVecPlan::replayBand(const Vec<Scalar> &x, const Vec<Scalar> &b) const
+{
+    const MatVecDims &d = dims();
+    const Vec<Scalar> xbar = transform_.transformX(x);
+    Vec<Scalar> ybar = transform_.transformB(b);
+    const Band<Scalar> &abar = transform_.abar();
+    SAP_ASSERT(abar.rows() == d.barRows() && abar.sub() == 0 &&
+                   abar.bandwidth() == d.w &&
+                   xbar.size() == d.barRows() + d.w - 1,
+               "band replay shape mismatch");
+    bandMatVecKernel(d.barRows(), d.w, abar.raw(), xbar.raw(),
+                     b_external_.data(), ybar.raw());
+    return ybar;
+}
+
 MatVecPlanResult
 MatVecPlan::runSemantics(const Vec<Scalar> &x,
                          const Vec<Scalar> &b) const
 {
-    BandMatVecSpec spec = makeSpec(x, b);
-    BandMatVecSemantics sem = runBandMatVecSemantics(spec);
-
     const MatVecDims &d = dims();
     MatVecPlanResult out;
-    out.y = transform_.extractY(sem.ybar);
+    out.y = transform_.extractY(replayBand(x, b));
     out.stats.cycles = formulas::tMatVec(d.w, d.nbar, d.mbar);
     out.stats.peCount = d.w;
     // Every in-band element fires exactly one MAC.
     out.stats.usefulMacs = d.barRows() * d.w;
     out.observedFeedbackDelay =
-        sem.usedFeedback ? formulas::linearFeedbackDelay(d.w) : -1;
+        d.mbar >= 2 ? formulas::linearFeedbackDelay(d.w) : -1;
     out.feedbackRegisters = formulas::linearFeedbackRegisters(d.w);
     return out;
 }
@@ -42,26 +55,29 @@ MatVecPlanResult
 MatVecPlan::runOverlappedSemantics(const Vec<Scalar> &x,
                                    const Vec<Scalar> &b) const
 {
-    SplitProblem split(transform_, x, b);
-    BandMatVecSpec s1 = split.first();
-    BandMatVecSpec s2 = split.second();
-    BandMatVecSemantics r1 = runBandMatVecSemantics(s1);
-    BandMatVecSemantics r2 = runBandMatVecSemantics(s2);
-
-    const Index w = dims().w;
+    const MatVecDims &d = dims();
+    SAP_ASSERT(d.nbar >= 2,
+               "cannot split a problem with a single block row");
+    // The split (dbt/interleave.hh) cuts at an original block row,
+    // so no feedback chain crosses it and each half's rows compute
+    // exactly what they compute in the unsplit band: one replay of
+    // the whole band gives both halves' ȳ.
+    const Index w = d.w;
+    const Index rows1 = ceilDiv(d.nbar, 2) * d.mbar * w;
+    const Index rows2 = d.barRows() - rows1;
     // Lane completion cycles (lane 2 is offset by one); the halves
     // of an odd split are unbalanced, so this is the exact measured
     // max, not tMatVecOverlap (which assumes the balanced total).
-    const Cycle last1 = 2 * (s1.rows() - 1) + 2 * w - 2;
-    const Cycle last2 = 2 * (s2.rows() - 1) + 2 * w - 2 + 1;
+    const Cycle last1 = 2 * (rows1 - 1) + 2 * w - 2;
+    const Cycle last2 = 2 * (rows2 - 1) + 2 * w - 2 + 1;
 
     MatVecPlanResult out;
-    out.y = split.extractY(r1.ybar, r2.ybar);
+    out.y = transform_.extractY(replayBand(x, b));
     out.stats.cycles = std::max(last1, last2) + 1;
     out.stats.peCount = w;
-    out.stats.usefulMacs = (s1.rows() + s2.rows()) * w;
+    out.stats.usefulMacs = d.barRows() * w;
     out.observedFeedbackDelay =
-        r1.usedFeedback ? formulas::linearFeedbackDelay(w) : -1;
+        d.mbar >= 2 ? formulas::linearFeedbackDelay(w) : -1;
     out.feedbackRegisters = formulas::linearFeedbackRegisters(w);
     return out;
 }
@@ -70,17 +86,14 @@ GroupedRunResult
 MatVecPlan::runGroupedSemantics(const Vec<Scalar> &x,
                                 const Vec<Scalar> &b) const
 {
-    BandMatVecSpec spec = makeSpec(x, b);
-    BandMatVecSemantics sem = runBandMatVecSemantics(spec);
-
     const MatVecDims &d = dims();
     GroupedRunResult res;
-    res.logical.ybar = std::move(sem.ybar);
+    res.logical.ybar = replayBand(x, b);
     res.logical.stats.cycles = formulas::tMatVec(d.w, d.nbar, d.mbar);
     res.logical.stats.peCount = d.w;
     res.logical.stats.usefulMacs = d.barRows() * d.w;
     res.logical.observedFeedbackDelay =
-        sem.usedFeedback ? formulas::linearFeedbackDelay(d.w) : -1;
+        d.mbar >= 2 ? formulas::linearFeedbackDelay(d.w) : -1;
     res.logical.feedbackRegisters =
         formulas::linearFeedbackRegisters(d.w);
     res.grouped = res.logical.stats;

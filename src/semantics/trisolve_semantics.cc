@@ -43,11 +43,15 @@ TriSolvePlan::runSemantics(const Vec<Scalar> &b) const
         // those positions).
         const Dense<Scalar> &blk =
             diag_[static_cast<std::size_t>(r)];
+        SAP_ASSERT(blk.rows() == w_ && blk.cols() == w_,
+                   "diagonal block shape");
+        const Scalar *l = blk.raw();
+        Scalar *yr = y.raw() + r * w_;
         for (Index i = 0; i < w_; ++i) {
             Scalar s = rhs[i];
             for (Index k = 0; k < i; ++k)
-                s = s - blk(i, k) * y[r * w_ + k];
-            y[r * w_ + i] = s / blk(i, i);
+                s = s - l[i * w_ + k] * yr[k];
+            yr[i] = s / l[i * w_ + i];
         }
         res.stats.cycles += 2 * w_ - 1;
         // Cell k performs one op per row i >= k: w(w+1)/2 divides

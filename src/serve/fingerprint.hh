@@ -5,10 +5,17 @@
  * The plan cache (serve/plan_cache.hh) keys transformed plans by the
  * *content* of the operand matrices, not by object identity, so two
  * clients submitting the same A hit one cached plan. Digests are
- * cheap 64-bit FNV-1a hashes over the shape and raw element bytes;
- * they are an index, not a proof — the cache always confirms a
- * digest match with an exact element-wise comparison, so a hash
- * collision costs a probe, never a wrong plan.
+ * 64-bit xxHash64 hashes over the raw element bytes, seeded with the
+ * shape: four 64-bit lanes take 32 bytes per step, so a 256² operand
+ * hashes at memory speed. They are an index, not a proof — the cache
+ * always confirms a digest match with an exact element-wise
+ * comparison, so a hash collision costs a probe, never a wrong plan.
+ *
+ * Contract: a digest is a routing and cache hint internal to one
+ * build. Nothing persists it, and no two builds need agree on it: a
+ * gateway and a backend from different builds disagree only on which
+ * backend and cache slot a matrix lands in, so they lose cache hits,
+ * never correctness (PlanCache::entryMatches compares full matrices).
  */
 
 #ifndef SAP_SERVE_FINGERPRINT_HH
@@ -27,13 +34,13 @@ namespace sap {
 /** 64-bit content digest. */
 using Digest = std::uint64_t;
 
-/** FNV-1a over the shape and raw element bytes of @p a. */
+/** Hash of the raw element bytes of @p a, seeded with its shape. */
 Digest fingerprintDense(const Dense<Scalar> &a);
 
-/** FNV-1a over the length and raw element bytes of @p v. */
+/** Hash of the raw element bytes of @p v, seeded with its length. */
 Digest fingerprintVec(const Vec<Scalar> &v);
 
-/** FNV-1a over the bytes of @p s. */
+/** Hash of the bytes of @p s. */
 Digest fingerprintString(const std::string &s);
 
 /** Order-dependent combination of two digests. */

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "base/random.hh"
 #include "mat/generate.hh"
 #include "net/protocol.hh"
@@ -917,6 +920,157 @@ TEST(NetProtocol, TracesBadTierAndCountRejected)
         EXPECT_FALSE(decodeTraces(bad, &back, &total, &err));
         EXPECT_NE(err.find("exceeds payload"), std::string::npos)
             << err;
+    }
+}
+
+//---------------------------------------------------------------------
+// Bulk operand codec: scalars move as raw little-endian bit patterns
+//---------------------------------------------------------------------
+
+/** IEEE-754 values that compare wrongly or not at all under ==: the
+ *  codec must carry each one's exact bit pattern. */
+std::vector<Scalar>
+specialScalars()
+{
+    auto fromBits = [](std::uint64_t bits) {
+        Scalar v;
+        std::memcpy(&v, &bits, sizeof(v));
+        return v;
+    };
+    return {
+        -0.0,
+        std::numeric_limits<Scalar>::denorm_min(),
+        fromBits(0x000DEADBEEF00001ull), // subnormal, arbitrary bits
+        std::numeric_limits<Scalar>::infinity(),
+        -std::numeric_limits<Scalar>::infinity(),
+        fromBits(0x7FF0000000C0FFEEull), // signalling NaN, payload
+        fromBits(0xFFF80000DEADBEEFull), // negative quiet NaN, payload
+        1.0,
+    };
+}
+
+/** 2×4 matrix holding every special scalar once. */
+Dense<Scalar>
+specialDense()
+{
+    const std::vector<Scalar> v = specialScalars();
+    Dense<Scalar> d(2, 4);
+    std::memcpy(d.raw(), v.data(), v.size() * sizeof(Scalar));
+    return d;
+}
+
+Vec<Scalar>
+specialVec()
+{
+    const std::vector<Scalar> v = specialScalars();
+    Vec<Scalar> out(static_cast<Index>(v.size()));
+    std::memcpy(out.raw(), v.data(), v.size() * sizeof(Scalar));
+    return out;
+}
+
+/** Bit-for-bit equality; == would call NaN unequal to itself and
+ *  −0 equal to +0. */
+bool
+sameBits(const Dense<Scalar> &a, const Dense<Scalar> &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.raw(), b.raw(),
+                       a.data().size() * sizeof(Scalar)) == 0;
+}
+
+bool
+sameBits(const Vec<Scalar> &a, const Vec<Scalar> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.raw(), b.raw(),
+                       a.data().size() * sizeof(Scalar)) == 0;
+}
+
+/** A mat-mul SUBMIT whose three matrices are all special scalars. */
+ServeRequest
+specialSubmit()
+{
+    ServeRequest req;
+    req.engine = "mesh";
+    req.plan = EnginePlan::matMul(specialDense(),
+                                  specialDense().transposed(),
+                                  Dense<Scalar>(2, 2), 2);
+    req.plan.e = specialDense().topLeft(2, 2);
+    return req;
+}
+
+TEST(NetProtocol, SubmitCarriesSpecialScalarsBitForBit)
+{
+    const ServeRequest req = specialSubmit();
+    ServeRequest back;
+    std::string err;
+    ASSERT_TRUE(decodeSubmit(encodeSubmit(req), &back, &err)) << err;
+    EXPECT_TRUE(sameBits(back.plan.a, req.plan.a));
+    EXPECT_TRUE(sameBits(back.plan.bmat, req.plan.bmat));
+    EXPECT_TRUE(sameBits(back.plan.e, req.plan.e));
+
+    ServeRequest mv;
+    mv.engine = "linear";
+    mv.plan = EnginePlan::matVec(specialDense(), specialVec().slice(0, 4),
+                                 specialVec().slice(4, 2), 2);
+    ASSERT_TRUE(decodeSubmit(encodeSubmit(mv), &back, &err)) << err;
+    EXPECT_TRUE(sameBits(back.plan.a, mv.plan.a));
+    EXPECT_TRUE(sameBits(back.plan.x, mv.plan.x));
+    EXPECT_TRUE(sameBits(back.plan.b, mv.plan.b));
+}
+
+TEST(NetProtocol, ForwardCarriesSpecialScalarsBitForBit)
+{
+    const ServeRequest req = specialSubmit();
+    const std::vector<std::uint8_t> frame =
+        buildForwardFrame(5, 0xABCDull, encodeSubmit(req));
+    const std::vector<std::uint8_t> payload(frame.begin() + 20,
+                                            frame.end());
+    Digest digest = 0;
+    ServeRequest back;
+    std::string err;
+    ASSERT_TRUE(decodeForward(payload, &digest, &back, &err)) << err;
+    EXPECT_EQ(digest, 0xABCDull);
+    EXPECT_TRUE(sameBits(back.plan.a, req.plan.a));
+    EXPECT_TRUE(sameBits(back.plan.bmat, req.plan.bmat));
+    EXPECT_TRUE(sameBits(back.plan.e, req.plan.e));
+}
+
+TEST(NetProtocol, ResponseCarriesSpecialScalarsBitForBit)
+{
+    WireResponse resp;
+    resp.ok = true;
+    resp.y = specialVec();
+    resp.c = specialDense();
+    WireResponse back;
+    std::string err;
+    ASSERT_TRUE(decodeResponse(encodeResponse(resp), &back, &err))
+        << err;
+    EXPECT_TRUE(sameBits(back.y, resp.y));
+    EXPECT_TRUE(sameBits(back.c, resp.c));
+}
+
+TEST(NetProtocol, BulkSubmitEveryPrefixFailsCleanly)
+{
+    // A 64² mat-vec: each bulk copy must be bounded by the bytes
+    // actually present, wherever the payload is cut.
+    ServeRequest req;
+    req.engine = "linear";
+    req.plan = EnginePlan::matVec(randomRealDense(64, 64, 1),
+                                  randomIntVec(64, 2),
+                                  randomIntVec(64, 3), 8);
+    const std::vector<std::uint8_t> payload = encodeSubmit(req);
+    ServeRequest back;
+    std::string err;
+    ASSERT_TRUE(decodeSubmit(payload, &back, &err)) << err;
+    EXPECT_TRUE(sameBits(back.plan.a, req.plan.a));
+    for (std::size_t len = 0; len < payload.size(); ++len) {
+        const std::vector<std::uint8_t> cut(
+            payload.begin(),
+            payload.begin() + static_cast<std::ptrdiff_t>(len));
+        err.clear();
+        ASSERT_FALSE(decodeSubmit(cut, &back, &err)) << "len=" << len;
+        ASSERT_FALSE(err.empty()) << "len=" << len;
     }
 }
 

@@ -78,88 +78,135 @@ comparePoint(const SystolicEngine &engine, EnginePlan plan,
     return diff(label, sim, fast);
 }
 
+/**
+ * Operand kinds of the bit-identity sweeps. Integer operands are
+ * exact under any summation order, so they cannot tell a reordered
+ * or fused kernel from a faithful one; real-valued operands round
+ * differently under every reassociation, so only those rows catch
+ * one.
+ */
+enum class Operands
+{
+    Int,
+    Real,
+};
+
+const char *
+operandsName(Operands ops)
+{
+    return ops == Operands::Int ? "int" : "real";
+}
+
+Dense<Scalar>
+operandDense(Operands ops, Index rows, Index cols, std::uint64_t seed)
+{
+    return ops == Operands::Int ? randomIntDense(rows, cols, seed)
+                                : randomRealDense(rows, cols, seed);
+}
+
+Vec<Scalar>
+operandVec(Operands ops, Index n, std::uint64_t seed)
+{
+    return ops == Operands::Int ? randomIntVec(n, seed)
+                                : randomRealVec(n, seed);
+}
+
 //---------------------------------------------------------------------
 // Bit-identity property sweep (the tentpole's acceptance criterion)
 //---------------------------------------------------------------------
 
 TEST(SemanticsBitIdentity, MatVecEnginesMatchSimulatorOnStandardSweep)
 {
+    // The standard grid plus a point whose sizes are not multiples
+    // of a wider w, so a lane block spans padded rows.
+    std::vector<MatVecConfig> sweep = standardMatVecSweep();
+    sweep.push_back({8, 37, 29});
     for (const std::string &name : engineNames(ProblemKind::MatVec)) {
         std::unique_ptr<SystolicEngine> engine = makeEngine(name);
         ASSERT_TRUE(engine);
-        std::vector<DiffRow> rows = runConfigSweep(
-            standardMatVecSweep(), defaultSweepThreads(),
-            [&](const MatVecConfig &cfg) {
-                if (name == "overlapped" && ceilDiv(cfg.n, cfg.w) < 2)
-                    return DiffRow{}; // split needs two block rows
-                std::uint64_t seed = 17 + static_cast<std::uint64_t>(
-                                              cfg.n + cfg.m + cfg.w);
-                EnginePlan plan = EnginePlan::matVec(
-                    randomIntDense(cfg.n, cfg.m, seed),
-                    randomIntVec(cfg.m, seed + 1),
-                    randomIntVec(cfg.n, seed + 2), cfg.w);
-                return comparePoint(
-                    *engine, std::move(plan),
-                    name + " " + std::to_string(cfg.n) + "x" +
-                        std::to_string(cfg.m) + " w=" +
-                        std::to_string(cfg.w));
-            });
-        expectAllEqual(rows);
+        for (Operands ops : {Operands::Int, Operands::Real}) {
+            std::vector<DiffRow> rows = runConfigSweep(
+                sweep, defaultSweepThreads(),
+                [&](const MatVecConfig &cfg) {
+                    if (name == "overlapped" && ceilDiv(cfg.n, cfg.w) < 2)
+                        return DiffRow{}; // split needs two block rows
+                    std::uint64_t seed = 17 + static_cast<std::uint64_t>(
+                                                  cfg.n + cfg.m + cfg.w);
+                    EnginePlan plan = EnginePlan::matVec(
+                        operandDense(ops, cfg.n, cfg.m, seed),
+                        operandVec(ops, cfg.m, seed + 1),
+                        operandVec(ops, cfg.n, seed + 2), cfg.w);
+                    return comparePoint(
+                        *engine, std::move(plan),
+                        name + " " + operandsName(ops) + " " +
+                            std::to_string(cfg.n) + "x" +
+                            std::to_string(cfg.m) + " w=" +
+                            std::to_string(cfg.w));
+                });
+            expectAllEqual(rows);
+        }
     }
 }
 
 TEST(SemanticsBitIdentity, MatMulEnginesMatchSimulatorOnStandardSweep)
 {
+    std::vector<MatMulConfig> sweep = standardMatMulSweep();
+    sweep.push_back({8, 19, 29, 23});
     for (const std::string &name : engineNames(ProblemKind::MatMul)) {
         std::unique_ptr<SystolicEngine> engine = makeEngine(name);
         ASSERT_TRUE(engine);
-        std::vector<DiffRow> rows = runConfigSweep(
-            standardMatMulSweep(), defaultSweepThreads(),
-            [&](const MatMulConfig &cfg) {
-                std::uint64_t seed =
-                    29 + static_cast<std::uint64_t>(cfg.n + cfg.p +
-                                                    cfg.m + cfg.w);
-                EnginePlan plan = EnginePlan::matMul(
-                    randomIntDense(cfg.n, cfg.p, seed),
-                    randomIntDense(cfg.p, cfg.m, seed + 1),
-                    randomIntDense(cfg.n, cfg.m, seed + 2), cfg.w);
-                return comparePoint(
-                    *engine, std::move(plan),
-                    name + " " + std::to_string(cfg.n) + "x" +
-                        std::to_string(cfg.p) + "x" +
-                        std::to_string(cfg.m) + " w=" +
-                        std::to_string(cfg.w));
-            });
-        expectAllEqual(rows);
+        for (Operands ops : {Operands::Int, Operands::Real}) {
+            std::vector<DiffRow> rows = runConfigSweep(
+                sweep, defaultSweepThreads(),
+                [&](const MatMulConfig &cfg) {
+                    std::uint64_t seed =
+                        29 + static_cast<std::uint64_t>(cfg.n + cfg.p +
+                                                        cfg.m + cfg.w);
+                    EnginePlan plan = EnginePlan::matMul(
+                        operandDense(ops, cfg.n, cfg.p, seed),
+                        operandDense(ops, cfg.p, cfg.m, seed + 1),
+                        operandDense(ops, cfg.n, cfg.m, seed + 2), cfg.w);
+                    return comparePoint(
+                        *engine, std::move(plan),
+                        name + " " + operandsName(ops) + " " +
+                            std::to_string(cfg.n) + "x" +
+                            std::to_string(cfg.p) + "x" +
+                            std::to_string(cfg.m) + " w=" +
+                            std::to_string(cfg.w));
+                });
+            expectAllEqual(rows);
+        }
     }
 }
 
 TEST(SemanticsBitIdentity, TriSolveEngineMatchesSimulatorOnStandardSweep)
 {
+    std::vector<TriSolveConfig> sweep = standardTriSolveSweep();
+    sweep.push_back({8, 29});
     for (const std::string &name :
          engineNames(ProblemKind::TriSolve)) {
         std::unique_ptr<SystolicEngine> engine = makeEngine(name);
         ASSERT_TRUE(engine);
-        std::vector<DiffRow> rows = runConfigSweep(
-            standardTriSolveSweep(), defaultSweepThreads(),
-            [&](const TriSolveConfig &cfg) {
-                // Real-valued (non-unit) diagonals: the divide in
-                // the substitution must itself be bit-identical.
-                EnginePlan plan = EnginePlan::triSolve(
-                    randomDiagDominant(
-                        cfg.n, 43 + static_cast<std::uint64_t>(
-                                        cfg.n + cfg.w)),
-                    randomIntVec(cfg.n,
-                                 44 + static_cast<std::uint64_t>(
-                                          cfg.n + cfg.w)),
-                    cfg.w);
-                return comparePoint(*engine, std::move(plan),
-                                    name + " n=" +
-                                        std::to_string(cfg.n) +
-                                        " w=" +
-                                        std::to_string(cfg.w));
-            });
-        expectAllEqual(rows);
+        for (Operands ops : {Operands::Int, Operands::Real}) {
+            std::vector<DiffRow> rows = runConfigSweep(
+                sweep, defaultSweepThreads(),
+                [&](const TriSolveConfig &cfg) {
+                    // Real-valued (non-unit) diagonals: the divide in
+                    // the substitution must itself be bit-identical.
+                    const std::uint64_t seed =
+                        43 + static_cast<std::uint64_t>(cfg.n + cfg.w);
+                    EnginePlan plan = EnginePlan::triSolve(
+                        randomDiagDominant(cfg.n, seed),
+                        operandVec(ops, cfg.n, seed + 1), cfg.w);
+                    return comparePoint(*engine, std::move(plan),
+                                        name + " " + operandsName(ops) +
+                                            " n=" +
+                                            std::to_string(cfg.n) +
+                                            " w=" +
+                                            std::to_string(cfg.w));
+                });
+            expectAllEqual(rows);
+        }
     }
 }
 

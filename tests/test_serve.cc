@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <future>
 
 #include "engine/registry.hh"
@@ -45,6 +46,49 @@ TEST(Fingerprint, ShapeIsPartOfTheIdentity)
         tall(i / 2, i % 2) = static_cast<Scalar>(i + 1);
     }
     EXPECT_NE(fingerprintDense(wide), fingerprintDense(tall));
+}
+
+TEST(Fingerprint, EverySingleBitFlipChangesTheDigest)
+{
+    // 5×7 doubles = 280 bytes: eight full 32-byte stripes plus a
+    // 24-byte tail, so flips land in every lane and in the tail.
+    const Dense<Scalar> a = randomRealDense(5, 7, 3);
+    const Digest base = fingerprintDense(a);
+    for (Index r = 0; r < a.rows(); ++r) {
+        for (Index c = 0; c < a.cols(); ++c) {
+            for (int bit = 0; bit < 64; ++bit) {
+                Dense<Scalar> flipped = a;
+                std::uint64_t bits;
+                std::memcpy(&bits, &flipped(r, c), sizeof(bits));
+                bits ^= std::uint64_t{1} << bit;
+                std::memcpy(&flipped(r, c), &bits, sizeof(bits));
+                EXPECT_NE(fingerprintDense(flipped), base)
+                    << "(" << r << "," << c << ") bit " << bit;
+            }
+        }
+    }
+}
+
+TEST(Fingerprint, SwappedShapeOfTheSameBytesDiffers)
+{
+    Dense<Scalar> wide(5, 7), tall(7, 5);
+    for (Index i = 0; i < 35; ++i) {
+        wide(i / 7, i % 7) = static_cast<Scalar>(i + 1);
+        tall(i / 5, i % 5) = static_cast<Scalar>(i + 1);
+    }
+    EXPECT_NE(fingerprintDense(wide), fingerprintDense(tall));
+}
+
+TEST(Fingerprint, StringDigestIsXxHash64)
+{
+    // Reference vectors of xxHash64 with seed 0; the last input is
+    // long enough for the four-lane stripe loop.
+    EXPECT_EQ(fingerprintString(""), 0xEF46DB3751D8E999ULL);
+    EXPECT_EQ(fingerprintString("a"), 0xD24EC4F1A98C6E5BULL);
+    EXPECT_EQ(fingerprintString("abc"), 0x44BC2CF5AD770999ULL);
+    EXPECT_EQ(
+        fingerprintString("Nobody inspects the spammish repetition"),
+        0xFBCEA83C8A378BF1ULL);
 }
 
 TEST(Fingerprint, VectorAndStringDigests)

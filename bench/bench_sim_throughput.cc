@@ -11,6 +11,10 @@
 
 #include "bench/bench_common.hh"
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+
 #include "dbt/matmul_plan.hh"
 #include "dbt/matvec_plan.hh"
 #include "mat/generate.hh"
@@ -19,6 +23,45 @@
 
 namespace sap {
 namespace {
+
+/** Host cost of one engine on one plan (see hostCost()). */
+struct HostCost
+{
+    double prepareUs = 0;
+    double nsPerCycle = 0;
+};
+
+/**
+ * Best of @p reps prepares and cycle-accurate runs of @p plan:
+ * prepare time in µs, and Simulate time per simulated cycle
+ * (stats.cycles) in ns — the same quantities the serving benchmark
+ * reports as dbt.prepare_us and sim.host_ns_per_cycle.
+ */
+HostCost
+hostCost(const SystolicEngine &engine, const EnginePlan &plan, int reps)
+{
+    using Clock = std::chrono::steady_clock;
+    auto micros = [](Clock::time_point t0) {
+        return std::chrono::duration<double, std::micro>(Clock::now() -
+                                                         t0)
+            .count();
+    };
+    EngineInputs in = EngineInputs::of(plan);
+    in.mode = ExecMode::Simulate;
+    std::shared_ptr<const PreparedPlan> prepared;
+    double prepare_us = 1e300, simulate_us = 1e300;
+    Cycle cycles = 1;
+    for (int r = 0; r < reps; ++r) {
+        auto t0 = Clock::now();
+        prepared = engine.prepare(plan);
+        prepare_us = std::min(prepare_us, micros(t0));
+        t0 = Clock::now();
+        EngineRunResult res = engine.runPrepared(*prepared, in);
+        simulate_us = std::min(simulate_us, micros(t0));
+        cycles = res.stats.cycles;
+    }
+    return {prepare_us, simulate_us * 1e3 / static_cast<double>(cycles)};
+}
 
 void
 print()
@@ -37,25 +80,60 @@ print()
                                        randomIntDense(s, s, 2), w);
     EnginePlan ts = EnginePlan::triSolve(
         randomUnitLowerTriangular(s, 1), randomIntVec(s, 2), w);
+
+    // Each row also carries the simulator's host cost at the shapes
+    // of the serving benchmark's simulate_cold workload: 64² mat-vec
+    // and trisolve, 24² mat-mul, w = 8, real-valued operands.
+    const Index cost_w = 8, cost_vec = 64, cost_mm = 24;
+    const int cost_reps = 25;
+    EnginePlan mv_cost = EnginePlan::matVec(
+        randomRealDense(cost_vec, cost_vec, 1),
+        randomRealVec(cost_vec, 2), randomRealVec(cost_vec, 3), cost_w);
+    EnginePlan mm_cost = EnginePlan::matMul(
+        randomRealDense(cost_mm, cost_mm, 1),
+        randomRealDense(cost_mm, cost_mm, 2),
+        randomRealDense(cost_mm, cost_mm, 3), cost_w);
+    EnginePlan ts_cost = EnginePlan::triSolve(
+        randomUnitLowerTriangular(cost_vec, 1),
+        randomRealVec(cost_vec, 2), cost_w);
+
     std::vector<BenchJsonEntry> json;
     for (const std::string &name : engineNames()) {
         auto engine = requireEngine(name);
+        const ProblemKind kind = engine->kind();
         EngineRunResult r = engine->run(
-            engine->kind() == ProblemKind::MatVec   ? mv
-            : engine->kind() == ProblemKind::MatMul ? mm
-                                                    : ts);
+            kind == ProblemKind::MatVec   ? mv
+            : kind == ProblemKind::MatMul ? mm
+                                          : ts);
         printEngineRow(name, r);
+
+        const Index cost_s =
+            kind == ProblemKind::MatMul ? cost_mm : cost_vec;
+        HostCost cost = hostCost(*engine,
+                                 kind == ProblemKind::MatVec   ? mv_cost
+                                 : kind == ProblemKind::MatMul ? mm_cost
+                                                               : ts_cost,
+                                 cost_reps);
+        std::printf("            host cost at s=%lld w=%lld: prepare "
+                    "%.2f us, simulate %.1f ns/cycle (best of %d)\n",
+                    (long long)cost_s, (long long)cost_w,
+                    cost.prepareUs, cost.nsPerCycle, cost_reps);
 
         BenchJsonEntry e;
         e.name = "calibration";
         e.config = {{"engine", name},
-                    {"kind", problemKindName(engine->kind())},
+                    {"kind", problemKindName(kind)},
                     {"w", std::to_string(w)},
-                    {"s", std::to_string(s)}};
+                    {"s", std::to_string(s)},
+                    {"cost_w", std::to_string(cost_w)},
+                    {"cost_s", std::to_string(cost_s)},
+                    {"cost_reps", std::to_string(cost_reps)}};
         e.metrics = {
             {"cycles", static_cast<double>(r.stats.cycles)},
             {"useful_macs", static_cast<double>(r.stats.usefulMacs)},
-            {"utilization", r.stats.utilization()}};
+            {"utilization", r.stats.utilization()},
+            {"prepare_us", cost.prepareUs},
+            {"host_ns_per_cycle", cost.nsPerCycle}};
         json.push_back(std::move(e));
     }
     writeBenchJson("sim_throughput", json);

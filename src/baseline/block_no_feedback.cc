@@ -2,7 +2,6 @@
 
 #include "base/logging.hh"
 #include "base/math_util.hh"
-#include "mat/block.hh"
 
 namespace sap {
 
@@ -10,13 +9,18 @@ BlockNoFeedbackPlan::BlockNoFeedbackPlan(const Dense<Scalar> &a,
                                          Index w)
     : w_(w), rows_(a.rows()), cols_(a.cols())
 {
-    BlockPartition<Scalar> part(a, w);
-    nbar_ = part.blockRows();
-    mbar_ = part.blockCols();
+    SAP_ASSERT(w >= 1, "block size must be >= 1");
+    SAP_ASSERT(rows_ >= 1 && cols_ >= 1,
+               "cannot partition an empty matrix");
+    nbar_ = ceilDiv(rows_, w);
+    mbar_ = ceilDiv(cols_, w);
+    // Each block plan reads its w×w block (zero-padded at the edges)
+    // straight from A.
     blocks_.reserve(static_cast<std::size_t>(nbar_ * mbar_));
     for (Index i = 0; i < nbar_; ++i)
         for (Index j = 0; j < mbar_; ++j)
-            blocks_.emplace_back(part.block(i, j), w);
+            blocks_.emplace_back(
+                DenseWindow<Scalar>(a, i * w, j * w, w, w), w);
 }
 
 BlockNoFeedbackResult

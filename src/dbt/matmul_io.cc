@@ -1,6 +1,7 @@
 #include "dbt/matmul_io.hh"
 
-#include <set>
+#include <cstdint>
+#include <vector>
 
 #include "base/logging.hh"
 
@@ -236,8 +237,16 @@ IoComposer::validate() const
         }
         return 3;
     };
+    // O slots (row k in [0, K], part) as one flat bitmap index.
+    constexpr Index kParts = 5;
+    auto key = [](Index k, BandPart p) {
+        return static_cast<std::size_t>(k * kParts +
+                                        static_cast<Index>(p));
+    };
+    const std::size_t slots = key(K + 1, BandPart::USub);
+
     // Consumption uniqueness: no O slot feeds two inputs.
-    std::set<std::pair<Index, int>> consumed;
+    std::vector<std::uint8_t> consumed(slots, 0);
 
     auto visit = [&](Index k, BandPart part) -> bool {
         IoSource src = inputSource(k, part);
@@ -250,10 +259,10 @@ IoComposer::validate() const
                         stage(src.oPart) < stage(part));
         if (!earlier)
             return false;
-        auto key = std::make_pair(src.oRow,
-                                  static_cast<int>(src.oPart));
-        if (!consumed.insert(key).second)
+        std::uint8_t &seen = consumed[key(src.oRow, src.oPart)];
+        if (seen)
             return false; // double consumption
+        seen = 1;
         return true;
     };
 
@@ -271,18 +280,19 @@ IoComposer::validate() const
     }
 
     // Extraction uniqueness, and no extracted slot is also consumed.
-    std::set<std::pair<Index, int>> extracted;
+    // (An extraction outside the band's rows is malformed too.)
+    std::vector<std::uint8_t> extracted(slots, 0);
     for (Index i = 0; i < dims_.nbar; ++i) {
         for (Index j = 0; j < dims_.mbar; ++j) {
             for (BandPart part : {BandPart::UDiag, BandPart::Diag,
                                   BandPart::LDiag}) {
                 ExtractSource e = extractSource(i, j, part);
-                auto key = std::make_pair(e.oRow,
-                                          static_cast<int>(e.oPart));
-                if (!extracted.insert(key).second)
+                if (e.oRow < 0 || e.oRow > K)
                     return false;
-                if (consumed.count(key))
+                const std::size_t at = key(e.oRow, e.oPart);
+                if (extracted[at] || consumed[at])
                     return false;
+                extracted[at] = 1;
             }
         }
     }

@@ -3,43 +3,12 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "mat/triangular.hh"
 
 namespace sap {
 
 namespace {
 
-/** Classify a scalar band position (i, j) into (block row, part). */
-struct PartPos
-{
-    Index k;       ///< band block row
-    BandPart part; ///< part class
-    Index il, jl;  ///< local coordinates inside the w×w block
-};
-
-PartPos
-classify(Index i, Index j, Index w)
-{
-    PartPos p;
-    p.k = i / w;
-    p.il = i % w;
-    p.jl = j % w;
-    Index jblk = j / w;
-    if (jblk == p.k - 1) {
-        p.part = BandPart::USub;
-    } else if (jblk == p.k + 1) {
-        p.part = BandPart::LSuper;
-    } else {
-        SAP_ASSERT(jblk == p.k, "position (", i, ",", j,
-                   ") outside the block band");
-        p.part = p.jl > p.il    ? BandPart::UDiag
-                 : p.jl < p.il  ? BandPart::LDiag
-                                : BandPart::Diag;
-    }
-    return p;
-}
-
-/** Scalar coordinates of an O slot (row k, part) element (il, jl). */
+/** Scalar coordinates of an I/O slot (row k, part) element (il, jl). */
 std::pair<Index, Index>
 oScalarCoords(Index k, BandPart part, Index il, Index jl, Index w)
 {
@@ -52,16 +21,30 @@ oScalarCoords(Index k, BandPart part, Index il, Index jl, Index w)
     return {i, jblk * w + jl};
 }
 
-} // namespace
-
-std::size_t
-MatMulPlan::bandIdx(Index i, Index j) const
+/**
+ * Call f(il, jl) for every local cell of @p part inside its w×w
+ * block, row by row: strictly upper for the U parts, strictly lower
+ * for the L parts, the diagonal for D.
+ */
+template <typename F>
+void
+forEachInPart(BandPart part, Index w, F &&f)
 {
-    const Index w = dims().w;
-    SAP_ASSERT(j - i > -w && j - i < w, "position (", i, ",", j,
-               ") outside the width-", 2 * w - 1, " band");
-    return static_cast<std::size_t>(i * (2 * w - 1) + (j - i) + w - 1);
+    for (Index il = 0; il < w; ++il) {
+        Index lo = il, hi = il + 1; // D: jl == il
+        if (part == BandPart::USub || part == BandPart::UDiag) {
+            lo = il + 1;
+            hi = w;
+        } else if (part == BandPart::LDiag || part == BandPart::LSuper) {
+            lo = 0;
+            hi = il;
+        }
+        for (Index jl = lo; jl < hi; ++jl)
+            f(il, jl);
+    }
 }
+
+} // namespace
 
 MatMulPlan::MatMulPlan(const Dense<Scalar> &a, const Dense<Scalar> &b,
                        Index w)
@@ -75,69 +58,86 @@ MatMulPlan::MatMulPlan(const Dense<Scalar> &a, const Dense<Scalar> &b,
     // wide I/O band of the order-N transformed problem.
     const MatMulDims &d = dims();
     const Index N = d.order();
+    const Index K = d.blockCount();
     const std::size_t slots = static_cast<std::size_t>(N * (2 * w - 1));
 
     // Input routing: where the I-band value of position (i, j)
-    // comes from (zero, an E element, or a fed-back O value).
+    // comes from (zero, an E element, or a fed-back O value). The
+    // Appendix rules are per block part, so each part's source is
+    // looked up once and applied to every element of the part; the
+    // parts of block rows 0..K tile the band exactly (the tail row
+    // K stops at scalar row N−1).
     routes_.assign(slots, InputRoute{});
-    for (Index i = 0; i < N; ++i) {
-        for (Index j = std::max(Index{0}, i - w + 1);
-             j <= std::min(N - 1, i + w - 1); ++j) {
-            PartPos pos = classify(i, j, w);
-            IoSource src = composer_.inputSource(pos.k, pos.part);
-            InputRoute &rt = routes_[bandIdx(i, j)];
-            switch (src.kind) {
-              case IoSource::Kind::Zero:
-                rt.kind = InputRoute::Kind::Zero;
-                break;
-              case IoSource::Kind::FromE:
-                rt.kind = InputRoute::Kind::FromE;
-                rt.r = src.eRow * w + pos.il;
-                rt.c = src.eCol * w + pos.jl;
-                break;
-              case IoSource::Kind::FromO: {
-                auto [oi, oj] = oScalarCoords(src.oRow, src.oPart,
-                                              pos.il, pos.jl, w);
-                rt.kind = InputRoute::Kind::FromO;
-                rt.irregular = src.irregular;
-                rt.r = oi;
-                rt.c = oj;
-                // Feedback sources must themselves be O-band
-                // positions (checked here so run() can index
-                // directly).
-                bandIdx(oi, oj);
-                break;
-              }
-            }
+    for (Index k = 0; k <= K; ++k) {
+        for (BandPart part : {BandPart::USub, BandPart::LDiag,
+                              BandPart::Diag, BandPart::UDiag,
+                              BandPart::LSuper}) {
+            if ((part == BandPart::USub && k < 1) ||
+                (part == BandPart::LSuper && k > K - 1))
+                continue;
+            const IoSource src = composer_.inputSource(k, part);
+            forEachInPart(part, w, [&](Index il, Index jl) {
+                auto [i, j] = oScalarCoords(k, part, il, jl, w);
+                if (i >= N || j >= N)
+                    return;
+                InputRoute &rt = routes_[bandIdx(i, j)];
+                switch (src.kind) {
+                  case IoSource::Kind::Zero:
+                    rt.kind = InputRoute::Kind::Zero;
+                    break;
+                  case IoSource::Kind::FromE: {
+                    Index er = src.eRow * w + il;
+                    Index ec = src.eCol * w + jl;
+                    if (er < d.n && ec < d.m) {
+                        rt.kind = InputRoute::Kind::FromE;
+                        rt.r = er;
+                        rt.c = ec;
+                    } else {
+                        rt.kind = InputRoute::Kind::Zero;
+                    }
+                    break;
+                  }
+                  case IoSource::Kind::FromO: {
+                    auto [oi, oj] = oScalarCoords(
+                        src.oRow, src.oPart, il, jl, w);
+                    rt.kind = InputRoute::Kind::FromO;
+                    rt.irregular = src.irregular;
+                    rt.r = oi;
+                    rt.c = oj;
+                    // Feedback sources must themselves be O-band
+                    // positions (checked here so run() can index
+                    // directly).
+                    bandIdx(oi, oj);
+                    if (rt.irregular)
+                        ++fb_irregular_;
+                    else if (oj == oi)
+                        ++fb_main_;
+                    else
+                        ++fb_pair_;
+                    break;
+                  }
+                }
+            });
         }
     }
 
-    // Extraction routing: O scalar position -> padded C position.
-    extract_row_.assign(slots, -1);
-    extract_col_.assign(slots, -1);
+    // Extraction routing: O scalar position -> C position.
+    extract_.assign(slots, -1);
     for (Index bi = 0; bi < d.nbar; ++bi) {
         for (Index bj = 0; bj < d.mbar; ++bj) {
             for (BandPart part : {BandPart::UDiag, BandPart::Diag,
                                   BandPart::LDiag}) {
                 ExtractSource src = composer_.extractSource(bi, bj,
                                                             part);
-                TriPart shape = part == BandPart::UDiag
-                                    ? TriPart::UpperStrict
-                                : part == BandPart::LDiag
-                                    ? TriPart::LowerStrict
-                                    : TriPart::DiagOnly;
-                for (Index il = 0; il < w; ++il) {
-                    for (Index jl = 0; jl < w; ++jl) {
-                        if (!inTriPart(shape, il, jl))
-                            continue;
-                        auto [oi, oj] = oScalarCoords(src.oRow,
-                                                      src.oPart, il,
-                                                      jl, w);
-                        std::size_t slot = bandIdx(oi, oj);
-                        extract_row_[slot] = bi * w + il;
-                        extract_col_[slot] = bj * w + jl;
-                    }
-                }
+                forEachInPart(part, w, [&](Index il, Index jl) {
+                    auto [oi, oj] = oScalarCoords(src.oRow, src.oPart,
+                                                  il, jl, w);
+                    std::size_t slot = bandIdx(oi, oj);
+                    Index ci = bi * w + il;
+                    Index cj = bj * w + jl;
+                    if (ci < d.n && cj < d.m)
+                        extract_[slot] = ci * d.m + cj;
+                });
             }
         }
     }
@@ -159,9 +159,10 @@ MatMulPlan::run(const Dense<Scalar> &e) const
     const Index w = d.w;
     SAP_ASSERT(e.rows() == d.n && e.cols() == d.m,
                "E must be n×m = ", d.n, "x", d.m);
-    Dense<Scalar> e_pad = e.paddedTo(d.nbar * w, d.mbar * w);
+    const Scalar *e_at = e.raw();
 
     auto feedback = std::make_shared<SpiralFeedback>(w);
+    feedback->reserve(fb_main_, fb_pair_, fb_irregular_);
 
     // Captured O values, keyed by bandIdx of the scalar position.
     struct Captured
@@ -172,18 +173,20 @@ MatMulPlan::run(const Dense<Scalar> &e) const
     };
     std::vector<Captured> captured(routes_.size());
 
-    Dense<Scalar> c_pad(d.nbar * w, d.mbar * w);
+    MatMulPlanResult res;
+    res.c = Dense<Scalar>(d.n, d.m);
+    Scalar *c_at = res.c.raw();
 
     HexBandSpec spec;
     spec.abar = &transform_.abar();
     spec.bbar = &transform_.bbar();
-    spec.inputValue = [&](Index i, Index j) -> Scalar {
+    auto input_value = [&](Index i, Index j) -> Scalar {
         const InputRoute &rt = routes_[bandIdx(i, j)];
         switch (rt.kind) {
           case InputRoute::Kind::Zero:
             return 0;
           case InputRoute::Kind::FromE:
-            return e_pad(rt.r, rt.c);
+            return e_at[rt.r * d.m + rt.c];
           case InputRoute::Kind::FromO: {
             const Captured &cap = captured[bandIdx(rt.r, rt.c)];
             SAP_ASSERT(cap.valid, "feedback for (", i, ",", j,
@@ -197,19 +200,18 @@ MatMulPlan::run(const Dense<Scalar> &e) const
         }
         SAP_PANIC("unreachable");
     };
-    spec.onOutput = [&](Index i, Index j, Scalar v, Cycle exit_cycle) {
+    auto on_output = [&](Index i, Index j, Scalar v, Cycle exit_cycle) {
         std::size_t slot = bandIdx(i, j);
         captured[slot] = {v, exit_cycle, true};
-        if (extract_row_[slot] >= 0)
-            c_pad(extract_row_[slot], extract_col_[slot]) = v;
+        if (extract_[slot] >= 0)
+            c_at[extract_[slot]] = v;
     };
 
-    HexRunResult hex = runHexBandMatMul(sched_, spec);
+    HexRunResult hex =
+        runHexBandMatMul(sched_, spec, input_value, on_output);
     SAP_ASSERT(feedback->topologyRespected(),
                "a feedback transfer left its spiral loop");
 
-    MatMulPlanResult res;
-    res.c = c_pad.topLeft(d.n, d.m);
     res.stats = hex.stats;
     res.totalCycles = hex.totalCycles;
     res.feedback = feedback;

@@ -16,6 +16,7 @@
 #include "dbt/matmul_exec.hh"
 #include "dbt/matmul_io.hh"
 #include "dbt/matmul_transform.hh"
+#include "base/logging.hh"
 #include "sim/hex_driver.hh"
 #include "sim/spiral_feedback.hh"
 
@@ -93,21 +94,37 @@ class MatMulPlan
         enum class Kind : std::uint8_t { Zero, FromE, FromO };
         Kind kind = Kind::Zero;
         bool irregular = false; ///< FromO: irregular spiral transfer
-        Index r = 0;            ///< FromE: padded E row; FromO: O row
-        Index c = 0;            ///< FromE: padded E col; FromO: O col
+        Index r = 0;            ///< FromE: E row; FromO: O row
+        Index c = 0;            ///< FromE: E col; FromO: O col
     };
 
     /** Flat index of in-band position (i, j), |i−j| <= w−1. */
-    std::size_t bandIdx(Index i, Index j) const;
+    std::size_t
+    bandIdx(Index i, Index j) const
+    {
+        const Index w = dims().w;
+        SAP_ASSERT(j - i > -w && j - i < w, "position (", i, ",", j,
+                   ") outside the width-", 2 * w - 1, " band");
+        return static_cast<std::size_t>(i * (2 * w - 1) + (j - i) + w -
+                                        1);
+    }
 
     MatMulTransform transform_;
     IoComposer composer_;
 
     // Scalar routing tables keyed by bandIdx(): built once at
-    // construction, read-only during run().
+    // construction, read-only during run(). Routes and extractions
+    // address the unpadded E and C directly: an E element in the
+    // padding is a Zero route, and an O value that lands in C's
+    // padding is not extracted.
     std::vector<InputRoute> routes_;
-    std::vector<Index> extract_row_; ///< padded C row, −1 = discard
-    std::vector<Index> extract_col_;
+    /** Row-major index into C (n×m); −1 = not extracted. */
+    std::vector<Index> extract_;
+    /** FromO routes per SpiralFeedback record class, so each run
+     *  sizes its feedback record once. */
+    Index fb_main_ = 0;
+    Index fb_pair_ = 0;
+    Index fb_irregular_ = 0;
     /** Per-cycle I/O event schedule (depends only on the bands). */
     HexIoSchedule sched_;
 };

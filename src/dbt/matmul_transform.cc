@@ -20,51 +20,74 @@ MatMulTransform::MatMulTransform(const Dense<Scalar> &a,
     const Index K = dims_.blockCount();
     const Index N = dims_.order();
 
+    // Every block element is read straight from the padded
+    // partitions, and every band element is written straight into
+    // Band::raw() storage (row R starts at R·w; Ā has offset c − R,
+    // B̄ offset c − R + w − 1).
+    const Index a_ld = dims_.pbar * w;
+    const Index b_ld = dims_.mbar * w;
+    const Scalar *pa = ablocks_.padded().raw();
+    const Scalar *pb = bblocks_.padded().raw();
+    // Row i of A block (r, s) and of B block (s, c).
+    auto a_row = [&](Index r, Index s, Index i) {
+        return pa + (r * w + i) * a_ld + s * w;
+    };
+    auto b_row = [&](Index s, Index c, Index i) {
+        return pb + (s * w + i) * b_ld + c * w;
+    };
+    Scalar *ab = abar_.raw();
+    Scalar *bb = bbar_.raw();
+
     // ---- Ā -------------------------------------------------------
     // Interior block rows: Ū_k on the diagonal, L̄_k one block right.
     for (Index k = 0; k < K; ++k) {
-        Dense<Scalar> u = ablocks_.block(rOf(k), sOf(k));
-        Dense<Scalar> l = ablocks_.block(rOf(k), (sOf(k) + 1)
-                                         % dims_.pbar);
         for (Index i = 0; i < w; ++i) {
+            const Scalar *u = a_row(rOf(k), sOf(k), i);
+            const Scalar *l = a_row(rOf(k), (sOf(k) + 1) % dims_.pbar, i);
+            Scalar *dst = ab + (k * w + i) * w;
             for (Index j = i; j < w; ++j)      // upper incl. diagonal
-                abar_.ref(k * w + i, k * w + j) = u(i, j);
+                dst[j - i] = u[j];
             for (Index j = 0; j < i; ++j)      // strictly lower
-                abar_.ref(k * w + i, (k + 1) * w + j) = l(i, j);
+                dst[w - i + j] = l[j];
         }
     }
     // Tail U': leading (w−1)×(w−1) corner of U^A_{0,0}.
-    {
-        Dense<Scalar> u0 = ablocks_.block(0, 0);
-        for (Index i = 0; i < w - 1; ++i)
-            for (Index j = i; j < w - 1; ++j)
-                abar_.ref(K * w + i, K * w + j) = u0(i, j);
+    for (Index i = 0; i < w - 1; ++i) {
+        const Scalar *u0 = a_row(0, 0, i);
+        Scalar *dst = ab + (K * w + i) * w;
+        for (Index j = i; j < w - 1; ++j)
+            dst[j - i] = u0[j];
     }
 
     // ---- B̄ -------------------------------------------------------
     // Interior: L⁺ on the diagonal, U⁻ one block left (k >= 1).
     for (Index k = 0; k < K; ++k) {
-        Dense<Scalar> lp = bblocks_.block(sOf(k), cOf(k));
-        for (Index i = 0; i < w; ++i)
+        for (Index i = 0; i < w; ++i) {
+            const Scalar *lp = b_row(sOf(k), cOf(k), i);
+            Scalar *dst = bb + (k * w + i) * w;
             for (Index j = 0; j <= i; ++j)     // lower incl. diagonal
-                bbar_.ref(k * w + i, k * w + j) = lp(i, j);
+                dst[j - i + w - 1] = lp[j];
+        }
     }
     for (Index k = 1; k <= K; ++k) {
         // U⁻ block: B block (k mod p̄, ⌊(k−1)/(n̄p̄)⌋), strictly upper.
-        Dense<Scalar> um = bSubBlock(k);
+        const Index s = k % dims_.pbar;
+        const Index c = (k - 1) / (dims_.nbar * dims_.pbar);
         for (Index i = 0; i < w; ++i) {
             if (k * w + i >= N)
                 break; // the tail row has only w−1 rows
+            const Scalar *um = b_row(s, c, i);
+            Scalar *dst = bb + (k * w + i) * w;
             for (Index j = i + 1; j < w; ++j)
-                bbar_.ref(k * w + i, (k - 1) * w + j) = um(i, j);
+                dst[j - i - 1] = um[j];
         }
     }
     // Tail L': leading (w−1)×(w−1) corner of L⁺_{0,0}.
-    {
-        Dense<Scalar> l0 = bblocks_.block(0, 0);
-        for (Index i = 0; i < w - 1; ++i)
-            for (Index j = 0; j <= i; ++j)
-                bbar_.ref(K * w + i, K * w + j) = l0(i, j);
+    for (Index i = 0; i < w - 1; ++i) {
+        const Scalar *l0 = b_row(0, 0, i);
+        Scalar *dst = bb + (K * w + i) * w;
+        for (Index j = 0; j <= i; ++j)
+            dst[j - i + w - 1] = l0[j];
     }
 }
 
@@ -150,17 +173,28 @@ MatMulTransform::validate() const
 {
     const Index K = dims_.blockCount();
     const Index w = dims_.w;
+    const Index N = dims_.order();
+    const Index a_ld = dims_.pbar * w;
+    const Scalar *pa = ablocks_.padded().raw();
+    const Scalar *ab = abar_.raw();
 
     // Reconstruction: the band content must equal the provenance
-    // blocks placed at their positions.
+    // blocks placed at their positions — the upper part of block row
+    // k's diagonal block is U^A_{r,s} (U^A_{0,0} at the tail, whose
+    // clipped last row and column lie outside the order-N band).
+    // Compared in place, element by element.
     for (Index k = 0; k <= K; ++k) {
-        Dense<Scalar> u = aDiagBlock(k);
+        const Index r = k < K ? rOf(k) : 0;
+        const Index s = k < K ? sOf(k) : 0;
         for (Index i = 0; i < w; ++i) {
+            const Index row = k * w + i;
+            if (row >= N)
+                continue;
+            const Scalar *u = pa + (r * w + i) * a_ld + s * w;
             for (Index j = i; j < w; ++j) {
-                Index row = k * w + i, col = k * w + j;
-                if (row >= dims_.order() || col >= dims_.order())
+                if (k * w + j >= N)
                     continue;
-                if (abar_.at(row, col) != u(i, j))
+                if (ab[row * w + (j - i)] != u[j])
                     return false;
             }
         }

@@ -1,11 +1,11 @@
 #include "dbt/matvec_plan.hh"
 
 #include "base/logging.hh"
-#include "dbt/interleave.hh"
+#include "base/math_util.hh"
 
 namespace sap {
 
-MatVecPlan::MatVecPlan(const Dense<Scalar> &a, Index w)
+MatVecPlan::MatVecPlan(const DenseWindow<Scalar> &a, Index w)
     : transform_(a, w)
 {
     SAP_ASSERT(transform_.validate(/*check_filled=*/false),
@@ -50,18 +50,28 @@ MatVecPlan::run(const Vec<Scalar> &x, const Vec<Scalar> &b,
     return out;
 }
 
+Index
+MatVecPlan::overlapCut() const
+{
+    const MatVecDims &d = dims();
+    SAP_ASSERT(d.nbar >= 2,
+               "cannot split a problem with a single block row");
+    // Cut after ⌈n̄/2⌉ original block rows = a multiple of m̄ band
+    // block rows, so no feedback chain crosses the cut.
+    return ceilDiv(d.nbar, 2) * d.mbar * d.w;
+}
+
 MatVecPlanResult
 MatVecPlan::runOverlapped(const Vec<Scalar> &x, const Vec<Scalar> &b) const
 {
-    SplitProblem split(transform_, x, b);
-    InterleavedRunResult r = runInterleaved(split.first(),
-                                            split.second());
+    BandMatVecSpec spec = makeSpec(x, b);
+    LinearRunResult r = runSplitBandMatVec(spec, overlapCut());
 
     MatVecPlanResult out;
-    out.y = split.extractY(r.first.ybar, r.second.ybar);
-    out.stats = r.combined;
-    out.observedFeedbackDelay = r.first.observedFeedbackDelay;
-    out.feedbackRegisters = r.first.feedbackRegisters;
+    out.y = transform_.extractY(r.ybar);
+    out.stats = r.stats;
+    out.observedFeedbackDelay = r.observedFeedbackDelay;
+    out.feedbackRegisters = r.feedbackRegisters;
     return out;
 }
 

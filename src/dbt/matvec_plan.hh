@@ -45,10 +45,11 @@ class MatVecPlan
 {
   public:
     /**
-     * @param a The dense matrix A (any shape).
+     * @param a The dense matrix A (any shape), or a window of one;
+     *        read once here, never referenced afterwards.
      * @param w The fixed systolic array size.
      */
-    MatVecPlan(const Dense<Scalar> &a, Index w);
+    MatVecPlan(const DenseWindow<Scalar> &a, Index w);
 
     /** The underlying DBT transform. */
     const MatVecTransform &transform() const { return transform_; }
@@ -114,6 +115,15 @@ class MatVecPlan
                             const Vec<Scalar> &b) const;
 
   private:
+    /**
+     * Band row where runOverlapped() splits the problem: after
+     * ⌈n̄/2⌉ original block rows (the paper's balanced cut, the
+     * dotted line of Fig. 2.b), so no feedback chain crosses it.
+     *
+     * @pre dims().nbar >= 2.
+     */
+    Index overlapCut() const;
+
     /** The semantics replay shared by the three run*Semantics:
      *  the full transformed output ȳ for (x, b). */
     Vec<Scalar> replayBand(const Vec<Scalar> &x,

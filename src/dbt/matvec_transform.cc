@@ -8,12 +8,14 @@
 
 namespace sap {
 
-MatVecTransform::MatVecTransform(const Dense<Scalar> &a, Index w)
+MatVecTransform::MatVecTransform(const DenseWindow<Scalar> &a, Index w)
     : dims_{a.rows(), a.cols(), w,
             ceilDiv(a.rows(), w), ceilDiv(a.cols(), w)},
-      partition_(a, w),
       abar_(dims_.barRows(), dims_.barCols(), /*sub=*/0, /*super=*/w - 1)
 {
+    SAP_ASSERT(w >= 1, "block size must be >= 1");
+    SAP_ASSERT(a.rows() >= 1 && a.cols() >= 1,
+               "cannot partition an empty matrix");
     const Index mbar = dims_.mbar;
     const Index blocks = dims_.blockCount();
     pairs_.reserve(blocks);
@@ -26,19 +28,30 @@ MatVecTransform::MatVecTransform(const Dense<Scalar> &a, Index w)
         pairs_.push_back({r, s, r, s_next});
     }
 
-    // Materialize the band: block row k holds Ū_k at block column k
-    // (offsets 0..w-1-i per local row i) and L̄_k at block column k+1
-    // (offsets w-i..w-1). Together they fill the whole band.
+    // Materialize the band straight from A: block row k holds Ū_k at
+    // block column k (offsets 0..w-1-i per local row i) and L̄_k at
+    // block column k+1 (offsets w-i..w-1). Together they fill the
+    // whole band. In Band::raw() storage band row R starts at R·w
+    // with offset 0; positions in A's zero padding stay zero.
+    Scalar *band = abar_.raw();
+    const Index stored_rows = a.storedRows();
+    const Index stored_cols = a.storedCols();
     for (Index k = 0; k < blocks; ++k) {
         const BlockPair &p = pairs_[k];
-        Dense<Scalar> blk_u = partition_.block(p.uRow, p.uCol);
-        Dense<Scalar> blk_l = partition_.block(p.lRow, p.lCol);
         for (Index i = 0; i < w; ++i) {
-            Index row = k * w + i;
-            for (Index j = i; j < w; ++j)          // U part, j >= i
-                abar_.ref(row, k * w + j) = blk_u(i, j);
-            for (Index j = 0; j < i; ++j)          // L part, j < i
-                abar_.ref(row, (k + 1) * w + j) = blk_l(i, j);
+            Scalar *dst = band + (k * w + i) * w;
+            if (p.uRow * w + i < stored_rows) { // U part, j >= i
+                const Scalar *src = a.row(p.uRow * w + i) + p.uCol * w;
+                const Index end = std::min(w, stored_cols - p.uCol * w);
+                for (Index j = i; j < end; ++j)
+                    dst[j - i] = src[j];
+            }
+            if (p.lRow * w + i < stored_rows) { // L part, j < i
+                const Scalar *src = a.row(p.lRow * w + i) + p.lCol * w;
+                const Index end = std::min(i, stored_cols - p.lCol * w);
+                for (Index j = 0; j < end; ++j)
+                    dst[w - i + j] = src[j];
+            }
         }
     }
 }

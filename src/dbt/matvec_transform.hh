@@ -82,12 +82,13 @@ class MatVecTransform
     };
 
     /**
-     * Apply DBT-by-rows.
+     * Apply DBT-by-rows, reading the blocks straight from @p a.
      *
-     * @param a Original dense matrix (any shape >= 1x1).
+     * @param a Original dense matrix (any shape >= 1x1), or a window
+     *        of one (e.g. a single block of a larger matrix).
      * @param w Target array size (>= 1).
      */
-    MatVecTransform(const Dense<Scalar> &a, Index w);
+    MatVecTransform(const DenseWindow<Scalar> &a, Index w);
 
     /** Dimensions record. */
     const MatVecDims &dims() const { return dims_; }
@@ -154,7 +155,6 @@ class MatVecTransform
 
   private:
     MatVecDims dims_;
-    BlockPartition<Scalar> partition_;
     std::vector<BlockPair> pairs_;
     Band<Scalar> abar_;
 };

@@ -82,6 +82,8 @@ class Band
      * r·bandwidth() + (c − r) + sub(); out-of-matrix slots hold T{}.
      */
     const T *raw() const { return data_.data(); }
+    /** @copydoc raw() const */
+    T *raw() { return data_.data(); }
 
     /** Mutable reference to an in-band element. */
     T &

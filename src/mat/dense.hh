@@ -11,6 +11,7 @@
 #ifndef SAP_MAT_DENSE_HH
 #define SAP_MAT_DENSE_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "base/logging.hh"
@@ -131,6 +132,67 @@ class Dense
     Index rows_ = 0;
     Index cols_ = 0;
     std::vector<T> data_;
+};
+
+/**
+ * Read-only rows×cols window of a dense matrix, anchored at (r0, c0),
+ * whose positions past the matrix edge read as zero (the paper's
+ * zero padding). Lets a transform read one block of the padded
+ * partition, or the whole matrix, straight from the source without
+ * copying it. The matrix must outlive the window.
+ */
+template <typename T = Scalar>
+class DenseWindow
+{
+  public:
+    /** The whole matrix. */
+    DenseWindow(const Dense<T> &src)
+        : DenseWindow(src, 0, 0, src.rows(), src.cols())
+    {
+    }
+
+    /** The rows×cols window at (r0, c0) of @p src. */
+    DenseWindow(const Dense<T> &src, Index r0, Index c0, Index rows,
+                Index cols)
+        : src_(&src), r0_(r0), c0_(c0), rows_(rows), cols_(cols)
+    {
+        SAP_ASSERT(r0 >= 0 && c0 >= 0 && rows >= 0 && cols >= 0,
+                   "negative window");
+        SAP_ASSERT(r0 <= src.rows() && c0 <= src.cols(),
+                   "window origin (", r0, ",", c0, ") outside ",
+                   src.rows(), "x", src.cols());
+    }
+
+    /** Logical shape. */
+    Index rows() const { return rows_; }
+    Index cols() const { return cols_; }
+
+    /** Leading rows / columns that lie inside the matrix; every
+     *  other position of the window reads as zero. */
+    Index
+    storedRows() const
+    {
+        return std::min(rows_, src_->rows() - r0_);
+    }
+    /** @copydoc storedRows() */
+    Index
+    storedCols() const
+    {
+        return std::min(cols_, src_->cols() - c0_);
+    }
+
+    /** Window row @p r: storedCols() contiguous elements.
+     *  @pre r < storedRows(). */
+    const T *
+    row(Index r) const
+    {
+        return src_->raw() + (r0_ + r) * src_->cols() + c0_;
+    }
+
+  private:
+    const Dense<T> *src_;
+    Index r0_, c0_;
+    Index rows_, cols_;
 };
 
 /** Largest absolute element-wise difference between two matrices. */

@@ -56,14 +56,12 @@ MatVecPlan::runOverlappedSemantics(const Vec<Scalar> &x,
                                    const Vec<Scalar> &b) const
 {
     const MatVecDims &d = dims();
-    SAP_ASSERT(d.nbar >= 2,
-               "cannot split a problem with a single block row");
-    // The split (dbt/interleave.hh) cuts at an original block row,
-    // so no feedback chain crosses it and each half's rows compute
-    // exactly what they compute in the unsplit band: one replay of
-    // the whole band gives both halves' ȳ.
+    // The split cuts at an original block row, so no feedback chain
+    // crosses it and each half's rows compute exactly what they
+    // compute in the unsplit band: one replay of the whole band
+    // gives both halves' ȳ.
     const Index w = d.w;
-    const Index rows1 = ceilDiv(d.nbar, 2) * d.mbar * w;
+    const Index rows1 = overlapCut();
     const Index rows2 = d.barRows() - rows1;
     // Lane completion cycles (lane 2 is offset by one); the halves
     // of an odd split are unbalanced, so this is the exact measured

@@ -19,7 +19,11 @@ namespace sap {
 
 /**
  * A chain of @p depth registers: a sample pushed at cycle t emerges
- * from pop() at cycle t + depth (with one push/pop pair per cycle).
+ * from shift() at cycle t + depth (with one shift per cycle).
+ *
+ * Stored as a ring: shifting moves the head instead of every
+ * register, so a cycle costs O(1) whatever the depth. The register
+ * at the head holds the oldest sample, the one that leaves next.
  */
 class DelayLine
 {
@@ -41,26 +45,21 @@ class DelayLine
     Sample
     shift(Sample in)
     {
-        Sample out = regs_.back();
-        for (std::size_t i = regs_.size() - 1; i > 0; --i)
-            regs_[i] = regs_[i - 1];
-        regs_[0] = in;
+        Sample out = regs_[head_];
+        regs_[head_] = in;
+        valid_ += (in.valid ? 1 : 0) - (out.valid ? 1 : 0);
+        if (++head_ == regs_.size())
+            head_ = 0;
         return out;
     }
 
     /** Count of currently valid samples held (storage occupancy). */
-    Index
-    occupancy() const
-    {
-        Index n = 0;
-        for (const Sample &s : regs_)
-            if (s.valid)
-                ++n;
-        return n;
-    }
+    Index occupancy() const { return valid_; }
 
   private:
     std::vector<Sample> regs_;
+    std::size_t head_ = 0; ///< oldest register, next to shift out
+    Index valid_ = 0;      ///< valid samples among regs_
 };
 
 } // namespace sap

@@ -1,6 +1,5 @@
 #include "sim/grouped_array.hh"
 
-#include "base/logging.hh"
 #include "base/math_util.hh"
 
 namespace sap {
@@ -8,34 +7,14 @@ namespace sap {
 GroupedRunResult
 runGrouped(const BandMatVecSpec &spec)
 {
-    std::vector<std::vector<bool>> activity;
-    GroupedRunResult res;
-    res.logical = runBandMatVecWithActivity(spec, activity);
-
-    const Index w = spec.w();
-    const Index physical = ceilDiv(w, 2);
-
     // Realizability: within each group {2g, 2g+1}, at most one cell
     // may be busy per cycle (adjacent cells work on opposite
-    // parities on the contraflow array).
-    res.conflictFree = true;
-    for (const auto &mask : activity) {
-        for (Index g = 0; g < physical; ++g) {
-            Index c0 = 2 * g;
-            Index c1 = 2 * g + 1;
-            bool b0 = mask[static_cast<std::size_t>(c0)];
-            bool b1 = c1 < w && mask[static_cast<std::size_t>(c1)];
-            if (b0 && b1) {
-                res.conflictFree = false;
-                break;
-            }
-        }
-        if (!res.conflictFree)
-            break;
-    }
-
+    // parities on the contraflow array); the driver checks this on
+    // every cycle of the logical run.
+    GroupedRunResult res;
+    res.logical = runBandMatVecCheckingPairs(spec, res.conflictFree);
     res.grouped = res.logical.stats;
-    res.grouped.peCount = physical;
+    res.grouped.peCount = ceilDiv(spec.w(), 2);
     return res;
 }
 

@@ -1,20 +1,25 @@
 #include "sim/hex_array.hh"
 
+#include <utility>
+
 #include "base/logging.hh"
 
 namespace sap {
 
+namespace {
+
+std::size_t
+cells(Index rows, Index cols)
+{
+    return static_cast<std::size_t>(rows * cols);
+}
+
+} // namespace
+
 HexArray::HexArray(Index w)
-    : w_(w),
-      a_reg_(static_cast<std::size_t>(w * w)),
-      b_reg_(static_cast<std::size_t>(w * w)),
-      c_reg_(static_cast<std::size_t>(w * w)),
-      a_next_(static_cast<std::size_t>(w * w)),
-      b_next_(static_cast<std::size_t>(w * w)),
-      c_next_(static_cast<std::size_t>(w * w)),
-      a_in_(static_cast<std::size_t>(w)),
-      b_in_(static_cast<std::size_t>(w)),
-      c_in_(static_cast<std::size_t>(2 * w - 1))
+    : w_(w), a_(cells(w, w + 1)), b_(cells(w + 1, w)),
+      c_(cells(w + 1, w + 1)), a_next_(a_.size()), b_next_(b_.size()),
+      c_next_(c_.size())
 {
     SAP_ASSERT(w >= 1, "hex array needs at least one PE");
 }
@@ -23,14 +28,14 @@ void
 HexArray::setAIn(Index r, Sample s)
 {
     SAP_ASSERT(r >= 0 && r < w_, "a row ", r, " out of range");
-    a_in_[static_cast<std::size_t>(r)] = s;
+    a_[static_cast<std::size_t>(r * (w_ + 1) + w_)] = s;
 }
 
 void
 HexArray::setBIn(Index q, Sample s)
 {
     SAP_ASSERT(q >= 0 && q < w_, "b column ", q, " out of range");
-    b_in_[static_cast<std::size_t>(q)] = s;
+    b_[static_cast<std::size_t>(w_ * w_ + q)] = s;
 }
 
 void
@@ -38,7 +43,8 @@ HexArray::setCIn(Index delta, Sample s)
 {
     SAP_ASSERT(delta > -w_ && delta < w_, "diagonal ", delta,
                " out of range");
-    c_in_[static_cast<std::size_t>(delta + w_ - 1)] = s;
+    Index at = delta >= 0 ? delta * (w_ + 1) : -delta;
+    c_[static_cast<std::size_t>(at)] = s;
 }
 
 Sample
@@ -48,55 +54,58 @@ HexArray::cOut(Index delta) const
                " out of range");
     Index r = delta >= 0 ? w_ - 1 : w_ - 1 + delta;
     Index q = delta >= 0 ? w_ - 1 - delta : w_ - 1;
-    return c_reg_[idx(r, q)];
+    return c_[static_cast<std::size_t>((r + 1) * (w_ + 1) + q + 1)];
 }
 
 void
 HexArray::step()
 {
-    // Member scratch buffers: step() is the hot loop and must not
-    // allocate per cycle. Every cell is overwritten below, so the
-    // stale contents left by the previous swap never leak through.
-    std::vector<Sample> &a_next = a_next_;
-    std::vector<Sample> &b_next = b_next_;
-    std::vector<Sample> &c_next = c_next_;
-
-    for (Index r = 0; r < w_; ++r) {
-        for (Index q = 0; q < w_; ++q) {
-            // Combinational input wires of PE (r, q).
-            Sample a = (q == w_ - 1) ? a_in_[r] : a_reg_[idx(r, q + 1)];
-            Sample b = (r == w_ - 1) ? b_in_[q] : b_reg_[idx(r + 1, q)];
-            Sample c;
-            if (r == 0 || q == 0)
-                c = c_in_[static_cast<std::size_t>((r - q) + w_ - 1)];
-            else
-                c = c_reg_[idx(r - 1, q - 1)];
-
-            // Inner product step.
-            Sample c_out = c;
-            if (a.valid && b.valid && c.valid) {
-                c_out = Sample::of(c.value + a.value * b.value);
-                ++useful_macs_;
-                if (first_mac_ < 0)
-                    first_mac_ = now_;
-            }
-
-            a_next[idx(r, q)] = a;
-            b_next[idx(r, q)] = b;
-            c_next[idx(r, q)] = c_out;
+    const Index w = w_;
+    Index macs = 0;
+    for (Index r = 0; r < w; ++r) {
+        // Input wires of row r: a from the east, b from the south,
+        // c from the north-west (ports included via the borders).
+        const Sample *a_in = &a_[static_cast<std::size_t>(r * (w + 1) + 1)];
+        const Sample *b_in = &b_[static_cast<std::size_t>((r + 1) * w)];
+        const Sample *c_in = &c_[static_cast<std::size_t>(r * (w + 1))];
+        Sample *a_out = &a_next_[static_cast<std::size_t>(r * (w + 1))];
+        Sample *b_out = &b_next_[static_cast<std::size_t>(r * w)];
+        Sample *c_out =
+            &c_next_[static_cast<std::size_t>((r + 1) * (w + 1) + 1)];
+        for (Index q = 0; q < w; ++q) {
+            const Sample a = a_in[q];
+            const Sample b = b_in[q];
+            const Sample c = c_in[q];
+            // Inner product step: c' = c + a·b when all three
+            // operands are valid, else c passes through unchanged.
+            // Computed as a select so the loop has no data-dependent
+            // branch; a bubble's value is never selected.
+            const bool fire = a.valid && b.valid && c.valid;
+            const Scalar sum = c.value + a.value * b.value;
+            a_out[q] = a;
+            b_out[q] = b;
+            c_out[q] = Sample{fire ? sum : c.value, c.valid};
+            macs += fire ? 1 : 0;
         }
     }
+    useful_macs_ += macs;
+    if (macs > 0 && first_mac_ < 0)
+        first_mac_ = now_;
 
-    a_reg_.swap(a_next);
-    b_reg_.swap(b_next);
-    c_reg_.swap(c_next);
+    // Consume this cycle's inputs: clear the ports before the
+    // buffers swap, so the next cycle's borders start as bubbles.
+    for (Index r = 0; r < w; ++r)
+        a_[static_cast<std::size_t>(r * (w + 1) + w)] = Sample::bubble();
+    for (Index q = 0; q < w; ++q)
+        b_[static_cast<std::size_t>(w * w + q)] = Sample::bubble();
+    for (Index r = 0; r <= w; ++r)
+        c_[static_cast<std::size_t>(r * (w + 1))] = Sample::bubble();
+    for (Index q = 1; q <= w; ++q)
+        c_[static_cast<std::size_t>(q)] = Sample::bubble();
 
-    for (Index r = 0; r < w_; ++r)
-        a_in_[r] = Sample::bubble();
-    for (Index q = 0; q < w_; ++q)
-        b_in_[q] = Sample::bubble();
-    for (Index dlt = 0; dlt < 2 * w_ - 1; ++dlt)
-        c_in_[static_cast<std::size_t>(dlt)] = Sample::bubble();
+    std::swap(a_, a_next_);
+    std::swap(b_, b_next_);
+    std::swap(c_, c_next_);
 
     ++now_;
 }

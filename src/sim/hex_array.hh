@@ -73,25 +73,27 @@ class HexArray
     Cycle firstMacCycle() const { return first_mac_; }
 
   private:
-    std::size_t idx(Index r, Index q) const
-    {
-        return static_cast<std::size_t>(r * w_ + q);
-    }
-
     Index w_;
     Cycle now_ = 0;
     Index useful_macs_ = 0;
     Cycle first_mac_ = -1;
 
-    std::vector<Sample> a_reg_; ///< a at output of PE (r,q)
-    std::vector<Sample> b_reg_;
-    std::vector<Sample> c_reg_;
-    std::vector<Sample> a_next_; ///< step() scratch (no per-cycle alloc)
+    // Stream registers, each with its edge ports folded in as one
+    // extra border row or column, so step() reads every PE's inputs
+    // the same way and has no edge cases in its inner loop:
+    //   a: w × (w+1);     PE (r,q) at [r][q],     row port r at [r][w]
+    //   b: (w+1) × w;     PE (r,q) at [r][q],     column port q at [w][q]
+    //   c: (w+1) × (w+1); PE (r,q) at [r+1][q+1], diagonal δ's port at
+    //                     [δ][0] (δ >= 0) or [0][−δ] (δ < 0)
+    // PE (r,q) reads a[r][q+1], b[r+1][q] and c[r][q]. The *_next_
+    // buffers are step() scratch (no per-cycle allocation); their
+    // border cells stay bubbles.
+    std::vector<Sample> a_;
+    std::vector<Sample> b_;
+    std::vector<Sample> c_;
+    std::vector<Sample> a_next_;
     std::vector<Sample> b_next_;
     std::vector<Sample> c_next_;
-    std::vector<Sample> a_in_;  ///< per-row a inputs this cycle
-    std::vector<Sample> b_in_;  ///< per-column b inputs this cycle
-    std::vector<Sample> c_in_;  ///< per-diagonal c inputs (2w−1)
 };
 
 } // namespace sap

@@ -2,28 +2,13 @@
 
 #include <algorithm>
 
-#include "base/logging.hh"
-#include "sim/hex_array.hh"
-
 namespace sap {
 
-void
-HexBandSpec::validate() const
-{
-    SAP_ASSERT(abar != nullptr && bbar != nullptr, "missing bands");
-    SAP_ASSERT(abar->sub() == 0, "Ā must be an upper band");
-    SAP_ASSERT(bbar->super() == 0, "B̄ must be a lower band");
-    SAP_ASSERT(abar->super() == bbar->sub(),
-               "Ā and B̄ must share the bandwidth");
-    SAP_ASSERT(abar->rows() == abar->cols() &&
-               bbar->rows() == bbar->cols() &&
-               abar->rows() == bbar->rows(),
-               "Ā and B̄ must be square of equal order");
-    SAP_ASSERT(inputValue && onOutput, "missing I/O callbacks");
-}
+namespace {
 
-HexIoSchedule
-HexIoSchedule::build(const Band<Scalar> &abar, const Band<Scalar> &bbar)
+/** The shape checks shared by HexBandSpec and HexIoSchedule. */
+void
+checkBandPair(const Band<Scalar> &abar, const Band<Scalar> &bbar)
 {
     SAP_ASSERT(abar.sub() == 0, "Ā must be an upper band");
     SAP_ASSERT(bbar.super() == 0, "B̄ must be a lower band");
@@ -33,87 +18,59 @@ HexIoSchedule::build(const Band<Scalar> &abar, const Band<Scalar> &bbar)
                bbar.rows() == bbar.cols() &&
                abar.rows() == bbar.rows(),
                "Ā and B̄ must be square of equal order");
+}
+
+} // namespace
+
+void
+HexBandSpec::validate() const
+{
+    SAP_ASSERT(abar != nullptr && bbar != nullptr, "missing bands");
+    checkBandPair(*abar, *bbar);
+}
+
+HexIoSchedule
+HexIoSchedule::build(const Band<Scalar> &abar, const Band<Scalar> &bbar)
+{
+    checkBandPair(abar, bbar);
     const Index w = abar.super() + 1;
     const Index N = abar.rows();
+    // Row-major band storage (Band::raw()): Ā(i, k) at i·w + (k − i),
+    // B̄(k, j) at k·w + (j − k) + w − 1.
+    const Scalar *a = abar.raw();
+    const Scalar *b = bbar.raw();
 
     HexIoSchedule s;
     s.horizon = 3 * (N - 1) + 2 * w - 2;
-    s.aEvents.resize(s.horizon + 1);
-    s.bEvents.resize(s.horizon + 1);
-    s.cEvents.resize(s.horizon + 1);
-    s.oEvents.resize(s.horizon + 1);
-
-    for (Index i = 0; i < N; ++i) {
-        for (Index k = i; k <= std::min(i + w - 1, N - 1); ++k)
-            s.aEvents[i + 2 * k].push_back({k - i, abar.at(i, k)});
-    }
-    for (Index j = 0; j < N; ++j) {
-        for (Index k = j; k <= std::min(j + w - 1, N - 1); ++k)
-            s.bEvents[2 * k + j].push_back({k - j, bbar.at(k, j)});
-    }
-    for (Index i = 0; i < N; ++i) {
-        for (Index j = std::max(Index{0}, i - w + 1);
-             j <= std::min(N - 1, i + w - 1); ++j) {
-            Cycle t_in = i + j + std::max(i, j) + w - 1;
-            Cycle t_out = i + j + std::min(i, j) + 2 * w - 2;
-            s.cEvents[t_in].push_back({i, j});
-            s.oEvents[t_out].push_back({i, j});
-        }
-    }
+    s.aEvents = CycleCsr<AEvent>::build(s.horizon, [&](auto &&emit) {
+        for (Index i = 0; i < N; ++i)
+            for (Index k = i; k <= std::min(i + w - 1, N - 1); ++k)
+                emit(i + 2 * k, AEvent{k - i, a[i * w + (k - i)]});
+    });
+    s.bEvents = CycleCsr<AEvent>::build(s.horizon, [&](auto &&emit) {
+        for (Index j = 0; j < N; ++j)
+            for (Index k = j; k <= std::min(j + w - 1, N - 1); ++k)
+                emit(2 * k + j,
+                     AEvent{k - j, b[k * w + (j - k) + w - 1]});
+    });
+    // Both c streams walk the in-band positions (i, j) in row order.
+    auto positions = [&](auto &&at) {
+        for (Index i = 0; i < N; ++i)
+            for (Index j = std::max(Index{0}, i - w + 1);
+                 j <= std::min(N - 1, i + w - 1); ++j)
+                at(i, j);
+    };
+    s.cEvents = CycleCsr<CEvent>::build(s.horizon, [&](auto &&emit) {
+        positions([&](Index i, Index j) {
+            emit(i + j + std::max(i, j) + w - 1, CEvent{i, j});
+        });
+    });
+    s.oEvents = CycleCsr<CEvent>::build(s.horizon, [&](auto &&emit) {
+        positions([&](Index i, Index j) {
+            emit(i + j + std::min(i, j) + 2 * w - 2, CEvent{i, j});
+        });
+    });
     return s;
-}
-
-HexRunResult
-runHexBandMatMul(const HexBandSpec &spec)
-{
-    return runHexBandMatMul(
-        HexIoSchedule::build(*spec.abar, *spec.bbar), spec);
-}
-
-HexRunResult
-runHexBandMatMul(const HexIoSchedule &sched, const HexBandSpec &spec)
-{
-    spec.validate();
-    const Index w = spec.w();
-    const Index N = spec.order();
-    SAP_ASSERT(sched.horizon == 3 * (N - 1) + 2 * w - 2,
-               "schedule was built for a different problem");
-    HexArray array(w);
-
-    const Cycle horizon = sched.horizon;
-
-    HexRunResult res;
-    for (Cycle tau = 0; tau <= horizon; ++tau) {
-        for (const HexIoSchedule::AEvent &ev : sched.aEvents[tau])
-            array.setAIn(ev.port, Sample::of(ev.value));
-        for (const HexIoSchedule::AEvent &ev : sched.bEvents[tau])
-            array.setBIn(ev.port, Sample::of(ev.value));
-        for (const HexIoSchedule::CEvent &ev : sched.cEvents[tau])
-            array.setCIn(ev.j - ev.i,
-                         Sample::of(spec.inputValue(ev.i, ev.j)));
-
-        array.step();
-
-        for (const HexIoSchedule::CEvent &ev : sched.oEvents[tau]) {
-            Sample s = array.cOut(ev.j - ev.i);
-            SAP_ASSERT(s.valid, "missing output at (", ev.i, ",", ev.j,
-                       ") cycle ", tau);
-            spec.onOutput(ev.i, ev.j, s.value, tau);
-            res.lastExit = tau;
-        }
-    }
-
-    res.totalCycles = horizon + 1;
-    res.firstMac = array.firstMacCycle();
-    res.stats.peCount = array.peCount();
-    res.stats.usefulMacs = array.usefulMacs();
-    // The paper's step count: from the first useful MAC to the
-    // delivery of the last output through the exit-edge register
-    // (one cycle after its final hop), both inclusive. Under this
-    // convention the measurement reproduces T = 3w·p̄n̄m̄ + 4w − 5
-    // exactly for every shape (see EXPERIMENTS.md).
-    res.stats.cycles = (res.lastExit + 1) - res.firstMac + 1;
-    return res;
 }
 
 } // namespace sap

@@ -21,6 +21,7 @@
 #ifndef SAP_SIM_LINEAR_ARRAY_HH
 #define SAP_SIM_LINEAR_ARRAY_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "base/types.hh"
@@ -72,11 +73,15 @@ class LinearArray
     const std::vector<Index> &peMacCounts() const { return pe_macs_; }
 
     /**
-     * Which PEs performed a valid MAC during the last step().
-     * Used by the PE-grouping model to verify that paired cells are
-     * never busy in the same cycle.
+     * Which PEs performed a valid MAC during the last step() (1 =
+     * busy). Used by the PE-grouping model to verify that paired
+     * cells are never busy in the same cycle.
      */
-    const std::vector<bool> &lastActivity() const { return last_active_; }
+    const std::vector<std::uint8_t> &
+    lastActivity() const
+    {
+        return last_active_;
+    }
 
   private:
     Index w_;
@@ -88,7 +93,7 @@ class LinearArray
     std::vector<Sample> y_regs_; ///< y after PE p (moves left)
     std::vector<Sample> a_in_;   ///< coefficient inputs this cycle
     std::vector<Index> pe_macs_;
-    std::vector<bool> last_active_;
+    std::vector<std::uint8_t> last_active_;
 
     Sample x_in_;
     Sample y_in_;

@@ -12,31 +12,17 @@ LinearASchedule::build(const Band<Scalar> &abar)
     SAP_ASSERT(abar.sub() == 0, "a-schedule needs an upper band");
     const Index w = abar.super() + 1;
     const Index rows = abar.rows();
+    // Row-major band storage (Band::raw()): a(i, i+d) at i·w + d.
+    const Scalar *a = abar.raw();
 
     LinearASchedule s;
     s.horizon = rows == 0 ? -1 : 2 * (rows - 1) + 2 * w - 2;
-    s.offsets.assign(static_cast<std::size_t>(s.horizon + 2), 0);
-    // a(i, i+d) fires in PE w−1−d at cycle 2i + w − 1 + d: count
-    // per cycle, exclusive prefix-sum, then fill (CSR two-pass).
-    for (Index i = 0; i < rows; ++i)
-        for (Index d = 0; d < w; ++d)
-            ++s.offsets[static_cast<std::size_t>(2 * i + w - 1 + d)];
-    std::uint32_t total = 0;
-    for (std::uint32_t &o : s.offsets) {
-        std::uint32_t count = o;
-        o = total;
-        total += count;
-    }
-    s.events.resize(total);
-    std::vector<std::uint32_t> cursor(s.offsets.begin(),
-                                      s.offsets.end());
-    for (Index i = 0; i < rows; ++i) {
-        for (Index d = 0; d < w; ++d) {
-            Cycle t = 2 * i + w - 1 + d;
-            s.events[cursor[static_cast<std::size_t>(t)]++] =
-                Event{w - 1 - d, abar.at(i, i + d)};
-        }
-    }
+    // a(i, i+d) fires in PE w−1−d at cycle 2i + w − 1 + d.
+    s.fires = CycleCsr<Event>::build(s.horizon, [&](auto &&emit) {
+        for (Index i = 0; i < rows; ++i)
+            for (Index d = 0; d < w; ++d)
+                emit(2 * i + w - 1 + d, Event{w - 1 - d, a[i * w + d]});
+    });
     return s;
 }
 
@@ -62,65 +48,93 @@ BandMatVecSpec::validate() const
         SAP_ASSERT(bIsExternal[i],
                    "row ", i, " wants feedback before any output");
     if (aSchedule)
-        SAP_ASSERT(static_cast<Index>(aSchedule->events.size()) ==
+        SAP_ASSERT(static_cast<Index>(aSchedule->fires.events.size()) ==
                        rows() * w_,
                    "a-schedule does not cover this band");
 }
 
 namespace {
 
-/** Per-problem bookkeeping for (possibly interleaved) execution. */
+/**
+ * Per-lane bookkeeping for (possibly interleaved) execution. A lane
+ * runs band rows [row0, row0 + rows) of its spec; its lane-local
+ * row i is band row row0 + i.
+ */
 struct Lane
 {
+    Lane(const BandMatVecSpec &s, Index off, Index first, Index count,
+         Scalar *out, bool rec = false)
+        : spec(&s), offset(off), row0(first), rows(count), ybar(out),
+          record(rec)
+    {
+    }
+
     const BandMatVecSpec *spec;
     Index offset;             // cycle offset of this lane (0 or 1)
-    Vec<Scalar> ybar;         // collected outputs
-    std::vector<Cycle> outputCycle; // when ȳ_i was computed
+    Index row0;               // first band row
+    Index rows;               // band rows run by this lane
+    Scalar *ybar;             // ȳ of lane-local row i goes to ybar[i]
     Cycle observedDelay = -1; // measured feedback delay
     Cycle lastOutput = -1;    // completion cycle (0-based)
     Trace trace;
     bool record;
 };
 
-/** Shared execution engine for one or two interleaved lanes. */
+/** A lane over the whole band of @p spec, collecting into @p ybar. */
+Lane
+wholeLane(const BandMatVecSpec &spec, Index offset, Vec<Scalar> &ybar,
+          bool record)
+{
+    ybar = Vec<Scalar>(spec.rows());
+    return Lane(spec, offset, 0, spec.rows(), ybar.raw(), record);
+}
+
+/**
+ * Shared execution engine for one or two interleaved lanes. With
+ * @p pairs_ok set, also checks after every cycle that no PE pair
+ * (2g, 2g+1) had both cells busy, clearing it on the first conflict.
+ */
 void
-runLanes(std::vector<Lane> &lanes, LinearArray &array, DelayLine &fb_line,
-         std::vector<std::vector<bool>> *activity_log = nullptr)
+runLanes(Lane *lanes, std::size_t lane_count, LinearArray &array,
+         DelayLine &fb_line, bool *pairs_ok = nullptr)
 {
     const Index w = array.size();
 
     Cycle horizon = 0;
-    for (const Lane &lane : lanes) {
-        Cycle last = 2 * (lane.spec->rows() - 1) + 2 * w - 2 +
-                     lane.offset;
+    for (std::size_t l = 0; l < lane_count; ++l) {
+        Cycle last = 2 * (lanes[l].rows - 1) + 2 * w - 2 +
+                     lanes[l].offset;
         horizon = std::max(horizon, last);
     }
 
     Sample fb_pending = Sample::bubble();
     for (Cycle tau = 0; tau <= horizon; ++tau) {
-        for (Lane &lane : lanes) {
+        for (std::size_t l = 0; l < lane_count; ++l) {
+            Lane &lane = lanes[l];
             const BandMatVecSpec &spec = *lane.spec;
-            const Index rows = spec.rows();
-            const Index cols = spec.abar->cols();
+            const Index row0 = lane.row0;
+            const Index rows = lane.rows;
+            const Index cols = rows + w - 1;
             const Cycle t = tau - lane.offset;
 
             // x stream: x_j enters PE 0 at t = 2j.
             if (t >= 0 && t % 2 == 0 && t / 2 < cols) {
                 Index j = t / 2;
-                array.setXIn(Sample::of(spec.xbar[j]));
+                array.setXIn(Sample::of(spec.xbar[row0 + j]));
                 if (lane.record)
-                    lane.trace.add(tau, Port::XIn, j, spec.xbar[j]);
+                    lane.trace.add(tau, Port::XIn, j,
+                                   spec.xbar[row0 + j]);
             }
 
             // y stream: b̄_i enters PE w-1 at t = 2i + w - 1.
             Cycle ty = t - (w - 1);
             if (ty >= 0 && ty % 2 == 0 && ty / 2 < rows) {
                 Index i = ty / 2;
-                if (spec.bIsExternal[i]) {
-                    array.setYIn(Sample::of(spec.externalB[i]));
+                if (spec.bIsExternal[row0 + i]) {
+                    array.setYIn(Sample::of(spec.externalB[row0 + i]));
                     if (lane.record)
                         lane.trace.add(tau, Port::BIn, i,
-                                       spec.externalB[i]);
+                                       spec.externalB[row0 + i]);
                 } else {
                     SAP_ASSERT(fb_pending.valid,
                                "feedback bubble at row ", i,
@@ -143,20 +157,26 @@ runLanes(std::vector<Lane> &lanes, LinearArray &array, DelayLine &fb_line,
 
             // a coefficients: diagonal d = w-1-p into PE p at
             // t = 2i + 2w - 2 - p. A precomputed schedule (reusable
-            // plans) replaces the per-cycle derivation.
+            // plans) replaces the per-cycle derivation; it covers the
+            // whole band, so a lane reads it at band time
+            // t + 2·row0 and keeps only its own rows'
+            // firings, i = (t_band − 2w + 2 + p)/2.
             if (const LinearASchedule *as = spec.aSchedule) {
-                if (t >= 0 && t <= as->horizon) {
-                    std::size_t tc = static_cast<std::size_t>(t);
-                    for (std::uint32_t k = as->offsets[tc];
-                         k < as->offsets[tc + 1]; ++k)
-                        array.setAIn(as->events[k].pe,
-                                     Sample::of(as->events[k].value));
+                const Cycle tb = t + 2 * row0;
+                if (t >= 0 && tb <= as->horizon) {
+                    for (const LinearASchedule::Event *ev =
+                             as->fires.begin(tb);
+                         ev != as->fires.end(tb); ++ev) {
+                        const Index i = (tb - 2 * w + 2 + ev->pe) / 2;
+                        if (i >= row0 && i < row0 + rows)
+                            array.setAIn(ev->pe, Sample::of(ev->value));
+                    }
                 }
             } else {
                 for (Index p = 0; p < w; ++p) {
                     Cycle ta = t - (2 * w - 2 - p);
                     if (ta >= 0 && ta % 2 == 0 && ta / 2 < rows) {
-                        Index i = ta / 2;
+                        Index i = row0 + ta / 2;
                         Index d = w - 1 - p;
                         array.setAIn(p,
                                      Sample::of(spec.abar->at(i, i + d)));
@@ -166,19 +186,26 @@ runLanes(std::vector<Lane> &lanes, LinearArray &array, DelayLine &fb_line,
         }
 
         array.step();
-        if (activity_log)
-            activity_log->push_back(array.lastActivity());
+        if (pairs_ok && *pairs_ok) {
+            const std::uint8_t *busy = array.lastActivity().data();
+            for (Index c = 0; c + 1 < w; c += 2) {
+                if (busy[c] && busy[c + 1]) {
+                    *pairs_ok = false;
+                    break;
+                }
+            }
+        }
         Sample out = array.yOut();
 
-        for (Lane &lane : lanes) {
+        for (std::size_t l = 0; l < lane_count; ++l) {
+            Lane &lane = lanes[l];
             const Cycle t = tau - lane.offset;
             Cycle to = t - (2 * w - 2);
-            if (to >= 0 && to % 2 == 0 && to / 2 < lane.spec->rows()) {
+            if (to >= 0 && to % 2 == 0 && to / 2 < lane.rows) {
                 Index i = to / 2;
                 SAP_ASSERT(out.valid, "missing output for row ", i,
                            " at cycle ", tau);
                 lane.ybar[i] = out.value;
-                lane.outputCycle[i] = tau;
                 lane.lastOutput = tau;
                 if (lane.record)
                     lane.trace.add(tau, Port::YOut, i, out.value);
@@ -191,19 +218,41 @@ runLanes(std::vector<Lane> &lanes, LinearArray &array, DelayLine &fb_line,
     }
 }
 
+/** Stats and feedback measurements of one lane. */
 LinearRunResult
-makeResult(const Lane &lane, const LinearArray &array, Index fb_regs)
+makeResult(Lane &lane, Vec<Scalar> &&ybar, const LinearArray &array,
+           Index fb_regs)
 {
     LinearRunResult res;
-    res.ybar = lane.ybar;
+    res.ybar = std::move(ybar);
     res.stats.cycles = lane.lastOutput + 1; // 0-based -> step count
     res.stats.peCount = array.size();
     // Every in-band element fires exactly one MAC.
-    res.stats.usefulMacs = lane.spec->rows() * array.size();
+    res.stats.usefulMacs = lane.rows * array.size();
     res.observedFeedbackDelay = lane.observedDelay;
     res.feedbackRegisters = fb_regs;
-    res.trace = lane.trace;
+    res.trace = std::move(lane.trace);
     return res;
+}
+
+/** One problem on a fresh array, optionally checking PE pairs. */
+LinearRunResult
+runSingle(const BandMatVecSpec &spec, bool record_trace,
+          bool *pairs_ok)
+{
+    spec.validate();
+    const Index w = spec.w();
+    LinearArray array(w);
+    DelayLine fb_line(w);
+
+    Vec<Scalar> ybar;
+    Lane lane = wholeLane(spec, 0, ybar, record_trace);
+    runLanes(&lane, 1, array, fb_line, pairs_ok);
+
+    SAP_ASSERT(array.usefulMacs() == spec.rows() * w,
+               "MAC count mismatch: ", array.usefulMacs(), " vs ",
+               spec.rows() * w);
+    return makeResult(lane, std::move(ybar), array, fb_line.depth());
 }
 
 } // namespace
@@ -211,40 +260,15 @@ makeResult(const Lane &lane, const LinearArray &array, Index fb_regs)
 LinearRunResult
 runBandMatVec(const BandMatVecSpec &spec, bool record_trace)
 {
-    spec.validate();
-    const Index w = spec.w();
-    LinearArray array(w);
-    DelayLine fb_line(w);
-
-    std::vector<Lane> lanes(1);
-    lanes[0] = Lane{&spec, 0, Vec<Scalar>(spec.rows()),
-                    std::vector<Cycle>(spec.rows(), -1), -1, -1, Trace{},
-                    record_trace};
-    runLanes(lanes, array, fb_line);
-
-    LinearRunResult res = makeResult(lanes[0], array, fb_line.depth());
-    SAP_ASSERT(array.usefulMacs() == spec.rows() * w,
-               "MAC count mismatch: ", array.usefulMacs(), " vs ",
-               spec.rows() * w);
-    return res;
+    return runSingle(spec, record_trace, nullptr);
 }
 
 LinearRunResult
-runBandMatVecWithActivity(const BandMatVecSpec &spec,
-                          std::vector<std::vector<bool>> &activity)
+runBandMatVecCheckingPairs(const BandMatVecSpec &spec,
+                           bool &conflictFree)
 {
-    spec.validate();
-    const Index w = spec.w();
-    LinearArray array(w);
-    DelayLine fb_line(w);
-
-    std::vector<Lane> lanes(1);
-    lanes[0] = Lane{&spec, 0, Vec<Scalar>(spec.rows()),
-                    std::vector<Cycle>(spec.rows(), -1), -1, -1, Trace{},
-                    false};
-    activity.clear();
-    runLanes(lanes, array, fb_line, &activity);
-    return makeResult(lanes[0], array, fb_line.depth());
+    conflictFree = true;
+    return runSingle(spec, false, &conflictFree);
 }
 
 InterleavedRunResult
@@ -258,24 +282,53 @@ runInterleaved(const BandMatVecSpec &first, const BandMatVecSpec &second)
     LinearArray array(w);
     DelayLine fb_line(w);
 
-    std::vector<Lane> lanes(2);
-    lanes[0] = Lane{&first, 0, Vec<Scalar>(first.rows()),
-                    std::vector<Cycle>(first.rows(), -1), -1, -1,
-                    Trace{}, false};
-    lanes[1] = Lane{&second, 1, Vec<Scalar>(second.rows()),
-                    std::vector<Cycle>(second.rows(), -1), -1, -1,
-                    Trace{}, false};
-    runLanes(lanes, array, fb_line);
+    Vec<Scalar> y1, y2;
+    Lane lanes[2] = {wholeLane(first, 0, y1, false),
+                     wholeLane(second, 1, y2, false)};
+    runLanes(lanes, 2, array, fb_line);
 
     InterleavedRunResult res;
-    res.first = makeResult(lanes[0], array, fb_line.depth());
-    res.second = makeResult(lanes[1], array, fb_line.depth());
+    res.first = makeResult(lanes[0], std::move(y1), array,
+                           fb_line.depth());
+    res.second = makeResult(lanes[1], std::move(y2), array,
+                            fb_line.depth());
     res.combined.cycles =
         std::max(lanes[0].lastOutput, lanes[1].lastOutput) + 1;
     res.combined.peCount = w;
     res.combined.usefulMacs = array.usefulMacs();
     SAP_ASSERT(res.combined.usefulMacs ==
                    (first.rows() + second.rows()) * w,
+               "interleaved MAC count mismatch");
+    return res;
+}
+
+LinearRunResult
+runSplitBandMatVec(const BandMatVecSpec &spec, Index cut)
+{
+    spec.validate();
+    const Index w = spec.w();
+    const Index rows = spec.rows();
+    SAP_ASSERT(cut > 0 && cut < rows, "split row ", cut,
+               " outside (0, ", rows, ")");
+    // The second lane starts a fresh feedback chain, exactly like
+    // the first row of a whole problem.
+    for (Index i = cut; i < std::min(rows, cut + w); ++i)
+        SAP_ASSERT(spec.bIsExternal[i],
+                   "row ", i, " wants feedback before any output");
+    LinearArray array(w);
+    DelayLine fb_line(w);
+
+    Vec<Scalar> ybar(rows);
+    Lane lanes[2] = {Lane(spec, 0, 0, cut, ybar.raw()),
+                     Lane(spec, 1, cut, rows - cut, ybar.raw() + cut)};
+    runLanes(lanes, 2, array, fb_line);
+
+    LinearRunResult res = makeResult(lanes[0], std::move(ybar), array,
+                                     fb_line.depth());
+    res.stats.cycles =
+        std::max(lanes[0].lastOutput, lanes[1].lastOutput) + 1;
+    res.stats.usefulMacs = array.usefulMacs();
+    SAP_ASSERT(res.stats.usefulMacs == rows * w,
                "interleaved MAC count mismatch");
     return res;
 }

@@ -26,15 +26,15 @@
 #include "base/types.hh"
 #include "mat/band.hh"
 #include "mat/vector.hh"
+#include "sim/cycle_csr.hh"
 #include "sim/trace.hh"
 
 namespace sap {
 
 /**
  * Precomputed a-coefficient firing schedule for one band matrix:
- * which coefficient enters which PE on each (lane-local) cycle, in
- * CSR layout — the events of cycle t are
- * events[offsets[t] .. offsets[t+1]).
+ * which coefficient enters which PE on each cycle, as one CSR table
+ * (sim/cycle_csr.hh).
  *
  * The schedule depends only on the band, so a reusable plan builds
  * it once and every execution streams it instead of re-deriving the
@@ -48,9 +48,8 @@ struct LinearASchedule
         Scalar value; ///< the coefficient
     };
 
-    Cycle horizon = -1; ///< last cycle with any event
-    std::vector<std::uint32_t> offsets; ///< size horizon + 2
-    std::vector<Event> events;          ///< rows() * w entries
+    Cycle horizon = -1;     ///< last cycle with any event
+    CycleCsr<Event> fires;  ///< rows() * w events
 
     /** Build from an upper band (sub() == 0, super() == w−1). */
     static LinearASchedule build(const Band<Scalar> &abar);
@@ -120,22 +119,21 @@ LinearRunResult runBandMatVec(const BandMatVecSpec &spec,
                               bool record_trace = false);
 
 /**
- * As runBandMatVec, additionally recording the per-cycle PE activity
- * bitmap (activity[cycle][pe]). Used by the PE-grouping model to
- * prove realizability.
+ * As runBandMatVec, additionally checking on every cycle that no PE
+ * pair (2g, 2g+1) had both cells busy — the PE-grouping model's
+ * realizability proof.
+ *
+ * @param[out] conflictFree True if no cycle had a busy pair.
  */
-LinearRunResult
-runBandMatVecWithActivity(const BandMatVecSpec &spec,
-                          std::vector<std::vector<bool>> &activity);
+LinearRunResult runBandMatVecCheckingPairs(const BandMatVecSpec &spec,
+                                           bool &conflictFree);
 
 /**
  * Execute two independent problems on one array, interleaved on
  * alternate cycles (the paper's "overlapping" utilization booster).
  *
  * @pre Both specs share the same bandwidth w.
- * @return Per-problem results plus combined stats; the combined
- *         cycle count realizes T = w·n̄m̄ + 2w − 2 when the two
- *         problems are the halves of one transformed problem.
+ * @return Per-problem results plus combined stats.
  */
 struct InterleavedRunResult
 {
@@ -146,6 +144,22 @@ struct InterleavedRunResult
 
 InterleavedRunResult runInterleaved(const BandMatVecSpec &first,
                                     const BandMatVecSpec &second);
+
+/**
+ * Execute one problem as two halves interleaved on alternate cycles:
+ * band rows [0, cut) run as the first lane and rows [cut, rows()) as
+ * the second, both read in place from @p spec (the dotted line of
+ * the paper's Fig. 2.b).
+ *
+ * @pre rows cut .. cut+w−1 take external b (no feedback chain
+ *      crosses the cut), and 0 < cut < rows().
+ * @return The whole ȳ (both halves, in band order) with the combined
+ *         stats; the observed feedback delay is the first lane's.
+ *         For the balanced DBT cut the cycle count realizes
+ *         T = w·n̄m̄ + 2w − 2.
+ */
+LinearRunResult runSplitBandMatVec(const BandMatVecSpec &spec,
+                                   Index cut);
 
 } // namespace sap
 

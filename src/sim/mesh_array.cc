@@ -2,7 +2,6 @@
 
 #include "base/logging.hh"
 #include "base/math_util.hh"
-#include "mat/block.hh"
 
 namespace sap {
 
@@ -54,21 +53,29 @@ MeshArray::step()
     // r == 0). Iterating rows and columns in descending order
     // updates both stream registers in place: PE (r,q) reads
     // a_reg_(r,q-1) and b_reg_(r-1,q), which later iterations write.
-    for (Index r = w_ - 1; r >= 0; --r) {
-        for (Index q = w_ - 1; q >= 0; --q) {
-            Sample a = (q == 0) ? a_in_[r] : a_reg_[idx(r, q - 1)];
-            Sample b = (r == 0) ? b_in_[q] : b_reg_[idx(r - 1, q)];
-            if (a.valid && b.valid) {
-                acc_[idx(r, q)] += a.value * b.value;
-                ++useful_macs_;
-            }
-            a_reg_[idx(r, q)] = a;
-            b_reg_[idx(r, q)] = b;
-        }
+    // The b source row is picked once per row, and column 0 (the a
+    // port) is peeled off the inner loop.
+    const Index w = w_;
+    Index macs = 0;
+    auto pe = [&](std::size_t at, Sample a, Sample b) {
+        // c += a·b when both operands are valid, as a select.
+        const bool fire = a.valid && b.valid;
+        const Scalar sum = acc_[at] + a.value * b.value;
+        acc_[at] = fire ? sum : acc_[at];
+        macs += fire ? 1 : 0;
+        a_reg_[at] = a;
+        b_reg_[at] = b;
+    };
+    for (Index r = w - 1; r >= 0; --r) {
+        const Sample *b_wire = r == 0 ? b_in_.data() : &b_reg_[idx(r - 1, 0)];
+        for (Index q = w - 1; q >= 1; --q)
+            pe(idx(r, q), a_reg_[idx(r, q - 1)], b_wire[q]);
+        pe(idx(r, 0), a_in_[static_cast<std::size_t>(r)], b_wire[0]);
     }
+    useful_macs_ += macs;
 
     // Inputs are consumed; clear for the next cycle.
-    for (Index k = 0; k < w_; ++k) {
+    for (Index k = 0; k < w; ++k) {
         a_in_[k] = Sample::bubble();
         b_in_[k] = Sample::bubble();
     }
@@ -82,13 +89,13 @@ MeshMatMulPlan::MeshMatMulPlan(const Dense<Scalar> &a,
 {
     SAP_ASSERT(b.rows() == p_, "B rows ", b.rows(), " != A cols ", p_);
     SAP_ASSERT(w >= 1, "mesh side w = ", w, " must be at least 1");
-    BlockPartition<Scalar> pa(a, w);
-    BlockPartition<Scalar> pb(b, w);
-    nbar_ = pa.blockRows();
-    pbar_ = pa.blockCols();
-    mbar_ = pb.blockCols();
-    a_padded_ = pa.padded();
-    b_padded_ = pb.padded();
+    SAP_ASSERT(n_ >= 1 && p_ >= 1 && m_ >= 1,
+               "cannot partition an empty matrix");
+    nbar_ = ceilDiv(n_, w);
+    pbar_ = ceilDiv(p_, w);
+    mbar_ = ceilDiv(m_, w);
+    a_padded_ = a.paddedTo(nbar_ * w, pbar_ * w);
+    b_padded_ = b.paddedTo(pbar_ * w, mbar_ * w);
 }
 
 MeshRunResult

@@ -36,6 +36,16 @@ SpiralFeedback::loopPeCount(Index loop) const
 }
 
 void
+SpiralFeedback::reserve(Index main, Index pair, Index irregular)
+{
+    main_diag_delays_.reserve(static_cast<std::size_t>(main));
+    pair_delays_.reserve(static_cast<std::size_t>(pair));
+    irregular_delays_.reserve(static_cast<std::size_t>(irregular));
+    regular_intervals_.reserve(static_cast<std::size_t>(main + pair));
+    irregular_intervals_.reserve(static_cast<std::size_t>(irregular));
+}
+
+void
 SpiralFeedback::recordTransfer(Index delta_out, Index delta_in,
                                Cycle exit_cycle, Cycle enter_cycle,
                                bool irregular)

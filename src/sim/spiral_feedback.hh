@@ -53,6 +53,16 @@ class SpiralFeedback
     Index loopCount() const { return w_; }
 
     /**
+     * Size the record vectors for a run whose transfer counts are
+     * known in advance, so recording never reallocates.
+     *
+     * @param main Regular transfers on the main diagonal.
+     * @param pair Regular transfers on the sub/super diagonal pairs.
+     * @param irregular Irregular (long-delay) transfers.
+     */
+    void reserve(Index main, Index pair, Index irregular);
+
+    /**
      * Record one transfer.
      *
      * @param delta_out Diagonal on which the datum left the array.

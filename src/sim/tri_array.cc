@@ -40,10 +40,10 @@ TriArray::step()
     // Combinational input wire of cell k: external s_in for k == 0,
     // else s_regs_[k-1]. Iterating right-to-left updates the
     // registers in place: cell k reads s_regs_[k-1] before the
-    // k-1 iteration (which runs later) overwrites it.
-    for (Index k = w_ - 1; k >= 0; --k) {
+    // k-1 iteration (which runs later) overwrites it. Cell 0, whose
+    // wire is the external port, is peeled off the loop.
+    auto cell = [&](Index k, Sample s) {
         Sample a = a_in_[k];
-        Sample s = (k == 0) ? s_in_ : s_regs_[k - 1];
         Sample out;
         if (a.valid && s.valid) {
             if (!y_[k].valid) {
@@ -63,7 +63,10 @@ TriArray::step()
             out = s;
         }
         s_regs_[k] = out;
-    }
+    };
+    for (Index k = w_ - 1; k >= 1; --k)
+        cell(k, s_regs_[k - 1]);
+    cell(0, s_in_);
 
     // Inputs are consumed; clear for the next cycle.
     s_in_ = Sample::bubble();

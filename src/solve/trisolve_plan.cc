@@ -1,11 +1,11 @@
 #include "solve/trisolve_plan.hh"
 
+#include <algorithm>
 #include <string>
 
 #include "base/error.hh"
 #include "base/logging.hh"
 #include "base/math_util.hh"
-#include "mat/block.hh"
 #include "sim/tri_array.hh"
 
 namespace sap {
@@ -25,28 +25,28 @@ TriSolvePlan::TriSolvePlan(const Dense<Scalar> &l, Index w)
             throw EngineError("zero diagonal at " +
                               std::to_string(i));
 
-    BlockPartition<Scalar> part(l, w);
-    nbar_ = part.blockRows();
-    const Dense<Scalar> &padded = part.padded();
+    nbar_ = ceilDiv(n_, w);
 
+    // Diagonal blocks and panels are read straight from L; their
+    // rows past n are the zero padding.
     diag_.reserve(static_cast<std::size_t>(nbar_));
     for (Index r = 0; r < nbar_; ++r) {
-        diag_.push_back(part.block(r, r));
+        DenseWindow<Scalar> win(l, r * w_, r * w_, w_, w_);
+        Dense<Scalar> blk(w_, w_);
+        for (Index i = 0; i < win.storedRows(); ++i)
+            std::copy(win.row(i), win.row(i) + win.storedCols(),
+                      blk.raw() + i * w_);
         // Padded diagonal entries are zero; patch them to 1 so the
         // padded sub-systems stay solvable (their solutions are 0).
-        for (Index i = 0; i < w_; ++i)
-            if (r * w_ + i >= n_)
-                diag_.back()(i, i) = 1;
+        for (Index i = win.storedRows(); i < w_; ++i)
+            blk(i, i) = 1;
+        diag_.push_back(std::move(blk));
     }
 
     panels_.reserve(static_cast<std::size_t>(nbar_ - 1));
-    for (Index r = 1; r < nbar_; ++r) {
-        Dense<Scalar> panel(w_, r * w_);
-        for (Index i = 0; i < w_; ++i)
-            for (Index j = 0; j < r * w_; ++j)
-                panel(i, j) = padded(r * w_ + i, j);
-        panels_.emplace_back(panel, w_);
-    }
+    for (Index r = 1; r < nbar_; ++r)
+        panels_.emplace_back(
+            DenseWindow<Scalar>(l, r * w_, 0, w_, r * w_), w_);
 }
 
 TriSolvePlanResult

@@ -9,18 +9,27 @@
  * index-derived vectors): the goldens are identical on every
  * platform and standard library.
  *
+ * The hexagonal array has no port trace, so its golden pins the
+ * run's observable outcome instead: the bits of C, the measured
+ * stats, and every feedback delay and storage peak the spiral
+ * harness records (a text file, one quantity per line).
+ *
  * Regenerating after an *intentional* schedule change:
  *   SAP_REGEN_GOLDEN=1 ./build/tests/test_golden_trace
- * then review and commit the rewritten CSVs under tests/data/.
+ * then review and commit the rewritten files under tests/data/.
  */
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "dbt/matmul_plan.hh"
 #include "engine/registry.hh"
 #include "mat/generate.hh"
 #include "sim/trace.hh"
@@ -145,6 +154,104 @@ TEST(GoldenTrace, MeshW2PaddedRectangular)
     // padding path is exercised.
     checkGoldenTrace("trace_mesh_w2_n4_p5_m3.csv", "mesh",
                      goldenMeshPlan(4, 5, 3, 2));
+}
+
+/**
+ * Real-valued, RNG-free operand: every element is a correctly
+ * rounded quotient, so the bits are the same on every IEEE-754
+ * platform and the golden pins the accumulation order exactly.
+ */
+Dense<Scalar>
+goldenRealDense(Index rows, Index cols, Index salt)
+{
+    Dense<Scalar> d(rows, cols);
+    for (Index i = 0; i < rows; ++i)
+        for (Index j = 0; j < cols; ++j)
+            d(i, j) = static_cast<Scalar>(
+                          (13 * i + 7 * j + salt) % 17 - 8) / 7.0;
+    return d;
+}
+
+/** One "name v0 v1 ..." line of the hex golden. */
+template <typename T>
+void
+putList(std::ostream &os, const char *name, const std::vector<T> &v)
+{
+    os << name << ' ' << v.size();
+    for (const T &x : v)
+        os << ' ' << x;
+    os << '\n';
+}
+
+/** The observable outcome of one hex plan run, as golden text. */
+std::string
+renderHexRun(const MatMulPlanResult &r, Index w)
+{
+    std::ostringstream os;
+    os << "c " << r.c.rows() << ' ' << r.c.cols() << '\n';
+    for (Index i = 0; i < r.c.rows(); ++i) {
+        for (Index j = 0; j < r.c.cols(); ++j) {
+            std::uint64_t bits;
+            std::memcpy(&bits, &r.c(i, j), sizeof bits);
+            char hex[17];
+            std::snprintf(hex, sizeof hex, "%016" PRIx64, bits);
+            os << (j == 0 ? "" : " ") << hex;
+        }
+        os << '\n';
+    }
+    os << "stats.cycles " << r.stats.cycles << '\n';
+    os << "stats.peCount " << r.stats.peCount << '\n';
+    os << "stats.usefulMacs " << r.stats.usefulMacs << '\n';
+    os << "totalCycles " << r.totalCycles << '\n';
+    const SpiralFeedback &fb = *r.feedback;
+    putList(os, "mainDiagDelays", fb.mainDiagDelays());
+    putList(os, "pairDelays", fb.pairDelays());
+    putList(os, "irregularDelays", fb.irregularDelays());
+    std::vector<Index> peaks;
+    for (Index loop = 0; loop < w; ++loop)
+        peaks.push_back(fb.peakRegularOccupancy(loop));
+    putList(os, "peakRegularOccupancy", peaks);
+    os << "peakIrregularOccupancy " << fb.peakIrregularOccupancy()
+       << '\n';
+    os << "transferCount " << fb.transferCount() << '\n';
+    return os.str();
+}
+
+TEST(GoldenTrace, HexW3Padded)
+{
+    // 5×4·4×7 on a 3×3 hex array: n̄ = 2, p̄ = 2, m̄ = 3, so every
+    // dimension is padded and both irregular feedback classes occur.
+    const Index w = 3;
+    MatMulPlan plan(goldenRealDense(5, 4, 1), goldenRealDense(4, 7, 5),
+                    w);
+    const std::string got =
+        renderHexRun(plan.run(goldenRealDense(5, 7, 11)), w);
+
+    const std::string path =
+        std::string(SAP_TEST_DATA_DIR) + "/golden_hex_w3_n5_p4_m7.txt";
+    if (std::getenv("SAP_REGEN_GOLDEN") != nullptr) {
+        std::ofstream os(path);
+        ASSERT_TRUE(os.good()) << "cannot write " << path;
+        os << got;
+    }
+    std::ifstream is(path);
+    ASSERT_TRUE(is.good())
+        << "missing golden " << path
+        << " (generate with SAP_REGEN_GOLDEN=1)";
+    std::stringstream buf;
+    buf << is.rdbuf();
+
+    std::istringstream want_lines(buf.str()), got_lines(got);
+    std::string want_line, got_line;
+    int line = 0;
+    while (std::getline(want_lines, want_line)) {
+        ++line;
+        ASSERT_TRUE(std::getline(got_lines, got_line))
+            << "run ends before golden line " << line;
+        EXPECT_EQ(got_line, want_line) << "golden line " << line;
+    }
+    EXPECT_FALSE(std::getline(got_lines, got_line))
+        << "run has lines past the golden's " << line;
 }
 
 } // namespace

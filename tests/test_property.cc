@@ -11,7 +11,6 @@
 #include "analysis/sweep.hh"
 #include "base/math_util.hh"
 #include "base/random.hh"
-#include "dbt/interleave.hh"
 #include "engine/registry.hh"
 #include "dbt/matmul_plan.hh"
 #include "dbt/matvec_exec.hh"

@@ -43,6 +43,37 @@ TEST(DelayLine, OccupancyCountsValidOnly)
     EXPECT_EQ(line.occupancy(), 2);
 }
 
+TEST(DelayLine, RingWrapsWithBubblesAndKeepsOccupancy)
+{
+    // More than 3×depth cycles with bubbles mixed in: the ring's
+    // head wraps several times, and every sample still leaves
+    // exactly depth cycles after it entered, with occupancy equal to
+    // the valid samples among the last depth inputs.
+    const Index depth = 4;
+    DelayLine line(depth);
+    std::vector<Sample> in;
+    for (int t = 0; t < 3 * depth + 7; ++t) {
+        Sample s = (t % 3 == 1) ? Sample::bubble()
+                                : Sample::of(static_cast<Scalar>(t));
+        in.push_back(s);
+        Sample out = line.shift(s);
+        if (t < depth) {
+            EXPECT_FALSE(out.valid) << "t=" << t;
+        } else {
+            const Sample &want = in[static_cast<std::size_t>(t - depth)];
+            EXPECT_EQ(out.valid, want.valid) << "t=" << t;
+            if (want.valid) {
+                EXPECT_EQ(out.value, want.value) << "t=" << t;
+            }
+        }
+        Index held = 0;
+        for (int u = std::max(0, t - static_cast<int>(depth) + 1);
+             u <= t; ++u)
+            held += in[static_cast<std::size_t>(u)].valid ? 1 : 0;
+        EXPECT_EQ(line.occupancy(), held) << "t=" << t;
+    }
+}
+
 TEST(LinearArray, SinglePeMac)
 {
     LinearArray arr(1);

@@ -16,6 +16,16 @@
  * owned by the shard of the first ring point at or clockwise-after
  * it. Ring points depend only on (shard index, vnode index), so the
  * ring is reproducible from the options alone.
+ *
+ * Known limitation: that also makes two rings with the same shard
+ * count identical. The gateway's ring over backends and each
+ * backend's Cluster ring over its shards are built the same way, so
+ * with as many shards per backend as backends a digest routed to
+ * backend k lands on shard k there too (2 × 2: 100% of 100 000
+ * digests), and the other shards of every backend stay idle.
+ * Salting one ring spreads the load but brings twice the plan-cache
+ * slots alive; the fix needs its own change with a memory plan
+ * (ROADMAP.md, "Two-tier routing correlation").
  */
 
 #ifndef SAP_CLUSTER_ROUTER_HH

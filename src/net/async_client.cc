@@ -28,8 +28,7 @@ AsyncClient::connectStart(const std::string &host, std::uint16_t port)
         fd_ = -1;
     }
     decoder_ = FrameDecoder(max_payload_);
-    outbuf_.clear();
-    outoff_ = 0;
+    out_.clear();
     error_.clear();
 
     sockaddr_in addr{};
@@ -76,8 +75,7 @@ AsyncClient::close()
         ::close(fd_);
         fd_ = -1;
     }
-    outbuf_.clear();
-    outoff_ = 0;
+    out_.clear();
     state_ = State::Idle;
 }
 
@@ -98,16 +96,11 @@ AsyncClient::desiredInterest() const
 }
 
 void
-AsyncClient::send(std::vector<std::uint8_t> bytes)
+AsyncClient::send(OutFrame frame)
 {
     if (state_ != State::Connecting && state_ != State::Connected)
         return;
-    if (outbuf_.empty()) {
-        outbuf_ = std::move(bytes);
-        outoff_ = 0;
-    } else {
-        outbuf_.insert(outbuf_.end(), bytes.begin(), bytes.end());
-    }
+    out_.push(std::move(frame));
 }
 
 void
@@ -126,30 +119,9 @@ AsyncClient::transportClosed(const std::string &reason)
 bool
 AsyncClient::flushSome()
 {
-    // Compact the sent prefix once it dominates the buffer, so a
-    // long-lived connection does not accumulate dead bytes.
-    while (outoff_ < outbuf_.size()) {
-        ssize_t n = ::send(fd_, outbuf_.data() + outoff_,
-                           outbuf_.size() - outoff_, MSG_NOSIGNAL);
-        if (n > 0) {
-            outoff_ += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            break;
-        if (n < 0 && errno == EINTR)
-            continue;
+    if (out_.flush(fd_) < 0) {
         transportClosed(std::string("send: ") + std::strerror(errno));
         return false;
-    }
-    if (outoff_ == outbuf_.size()) {
-        outbuf_.clear();
-        outoff_ = 0;
-    } else if (outoff_ > (64u << 10) && outoff_ * 2 > outbuf_.size()) {
-        outbuf_.erase(outbuf_.begin(),
-                      outbuf_.begin() +
-                          static_cast<std::ptrdiff_t>(outoff_));
-        outoff_ = 0;
     }
     return true;
 }
@@ -157,11 +129,9 @@ AsyncClient::flushSome()
 bool
 AsyncClient::readSome()
 {
-    std::uint8_t buf[65536];
     for (;;) {
-        ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+        ssize_t n = decoder_.receive(fd_);
         if (n > 0) {
-            decoder_.feed(buf, static_cast<std::size_t>(n));
             for (;;) {
                 Frame frame;
                 std::string err;

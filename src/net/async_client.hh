@@ -13,8 +13,9 @@
  *  - connectStart() issues a non-blocking connect and returns
  *    immediately; the owner watches fd() with desiredInterest() and
  *    learns the outcome through onConnected / onClosed;
- *  - send() only appends to an internal output buffer; bytes move
- *    when the loop reports the socket writable;
+ *  - send() only queues a frame (net/protocol.hh OutQueue: header
+ *    plus shared payload, never concatenated); bytes move when the
+ *    loop reports the socket writable;
  *  - handleReady() drives the connection from one EventLoop::Ready
  *    record: it finishes the connect handshake, flushes pending
  *    output, reads until EAGAIN, and delivers every complete frame
@@ -88,7 +89,7 @@ class AsyncClient
      * set; no callback fires.
      *
      * Call on an Idle or Closed client only; re-using a client for a
-     * reconnect resets the decoder and output buffer.
+     * reconnect resets the decoder and output queue.
      */
     bool connectStart(const std::string &host, std::uint16_t port);
 
@@ -110,13 +111,13 @@ class AsyncClient
      */
     std::uint32_t desiredInterest() const;
 
-    /** Queue @p bytes for transmission (no syscall; the loop flushes
+    /** Queue @p frame for transmission (no syscall; the loop flushes
      *  on writability). Silently dropped unless Connecting or
      *  Connected — the owner decides how to handle a dead backend. */
-    void send(std::vector<std::uint8_t> bytes);
+    void send(OutFrame frame);
 
-    /** Bytes buffered but not yet accepted by the kernel. */
-    std::size_t queuedBytes() const { return outbuf_.size() - outoff_; }
+    /** Bytes queued but not yet accepted by the kernel. */
+    std::size_t queuedBytes() const { return out_.queuedBytes(); }
 
     /**
      * Drive the connection from one readiness record (the owner
@@ -138,7 +139,7 @@ class AsyncClient
   private:
     /** Enter Closed, ::close() the fd, fire onClosed once. */
     void transportClosed(const std::string &reason);
-    /** Flush outbuf_ until EAGAIN. @return false if the socket died
+    /** Flush out_ until EAGAIN. @return false if the socket died
      *  (transportClosed already ran). */
     bool flushSome();
     /** Read until EAGAIN, delivering frames. @return false if the
@@ -149,8 +150,7 @@ class AsyncClient
     FrameDecoder decoder_;
     State state_ = State::Idle;
     int fd_ = -1;
-    std::vector<std::uint8_t> outbuf_;
-    std::size_t outoff_ = 0;
+    OutQueue out_;
     std::string error_;
 };
 

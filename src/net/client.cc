@@ -117,7 +117,6 @@ NetClient::readFrame(Frame *out)
 {
     if (fd_ < 0)
         return fail("not connected");
-    std::uint8_t buf[65536];
     for (;;) {
         std::string err;
         FrameDecoder::Result res = decoder_.next(out, &err);
@@ -127,11 +126,9 @@ NetClient::readFrame(Frame *out)
             disconnect();
             return fail("malformed server stream: " + err);
         }
-        ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-        if (n > 0) {
-            decoder_.feed(buf, static_cast<std::size_t>(n));
+        ssize_t n = decoder_.receive(fd_);
+        if (n > 0)
             continue;
-        }
         if (n < 0 && errno == EINTR)
             continue;
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -191,7 +188,6 @@ NetClient::submitBatch(const std::vector<ServeRequest> &reqs)
 
     std::size_t off = 0;
     std::size_t outstanding = reqs.size();
-    std::uint8_t buf[65536];
     while (outstanding > 0) {
         // Consume every complete frame already buffered.
         bool fatal = false;
@@ -299,16 +295,14 @@ NetClient::submitBatch(const std::vector<ServeRequest> &reqs)
             }
         }
         if (pfd.revents & (POLLIN | POLLHUP | POLLERR)) {
-            ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-            if (n > 0) {
-                decoder_.feed(buf, static_cast<std::size_t>(n));
-            } else if (n == 0) {
+            ssize_t n = decoder_.receive(fd_);
+            if (n == 0) {
                 disconnect();
                 fail("server closed the connection");
                 fail_rest();
                 return results;
-            } else if (errno != EAGAIN && errno != EWOULDBLOCK &&
-                       errno != EINTR) {
+            } else if (n < 0 && errno != EAGAIN &&
+                       errno != EWOULDBLOCK && errno != EINTR) {
                 disconnect();
                 fail(std::string("recv: ") + std::strerror(errno));
                 fail_rest();

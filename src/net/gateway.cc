@@ -16,7 +16,6 @@
 #include "engine/engine.hh"
 #include "net/client.hh"
 #include "obs/trace_export.hh"
-#include "serve/plan_cache.hh"
 #include "serve/server_stats.hh"
 
 namespace sap {
@@ -400,9 +399,11 @@ Gateway::backendDown(std::size_t idx, const std::string &reason)
                                    std::to_string(fl.resubmits));
             fl.backendIdx = ring_map_[ring_->shardFor(fl.digest)];
             Backend &nb = *backends_[fl.backendIdx];
-            nb.conn.send(buildForwardFrame(
-                gwtag, fl.digest, fl.submitPayload,
-                fl.ctx.valid() ? &fl.ctx : nullptr));
+            // The same payload buffer again, behind a fresh header.
+            nb.conn.send(forwardFrame(gwtag, fl.digest, fl.submitPayload,
+                                      fl.payloadOffset,
+                                      fl.ctx.valid() ? &fl.ctx
+                                                     : nullptr));
             ++nb.inflight;
             if (nb.inflightGauge)
                 nb.inflightGauge->set(
@@ -512,7 +513,7 @@ Gateway::acceptReady()
 void
 Gateway::updateClientInterest(std::uint64_t conn_id, ClientConn &conn)
 {
-    const std::size_t queued = conn.outbuf.size() - conn.outoff;
+    const std::size_t queued = conn.out.queuedBytes();
     std::uint32_t mask = 0;
     if (!conn.closing && queued <= opts_.maxQueuedOutputBytes)
         mask |= EventLoop::kRead;
@@ -552,20 +553,13 @@ Gateway::clientOwedWork(std::uint64_t conn_id) const
 }
 
 void
-Gateway::sendToClient(std::uint64_t conn_id,
-                      std::vector<std::uint8_t> bytes)
+Gateway::sendToClient(std::uint64_t conn_id, OutFrame frame)
 {
     auto it = conns_.find(conn_id);
     if (it == conns_.end())
         return; // client went away; the reply is dropped
     ClientConn &conn = *it->second;
-    if (conn.outbuf.empty()) {
-        conn.outbuf = std::move(bytes);
-        conn.outoff = 0;
-    } else {
-        conn.outbuf.insert(conn.outbuf.end(), bytes.begin(),
-                           bytes.end());
-    }
+    conn.out.push(std::move(frame));
     updateClientInterest(conn_id, conn);
 }
 
@@ -585,13 +579,11 @@ Gateway::sendClientError(std::uint64_t conn_id, std::uint64_t tag,
 bool
 Gateway::readReady(std::uint64_t conn_id, ClientConn &conn)
 {
-    std::uint8_t buf[65536];
     for (;;) {
         if (conn.closing)
             return true;
-        ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
+        ssize_t n = conn.decoder.receive(conn.fd);
         if (n > 0) {
-            conn.decoder.feed(buf, static_cast<std::size_t>(n));
             for (;;) {
                 Frame frame;
                 std::string err;
@@ -626,37 +618,14 @@ Gateway::readReady(std::uint64_t conn_id, ClientConn &conn)
     }
 }
 
-bool
-Gateway::flushClient(ClientConn &conn)
-{
-    while (conn.outoff < conn.outbuf.size()) {
-        ssize_t n =
-            ::send(conn.fd, conn.outbuf.data() + conn.outoff,
-                   conn.outbuf.size() - conn.outoff, MSG_NOSIGNAL);
-        if (n > 0) {
-            conn.outoff += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            return true;
-        if (n < 0 && errno == EINTR)
-            continue;
-        return false;
-    }
-    conn.outbuf.clear();
-    conn.outoff = 0;
-    return true;
-}
-
 //----------------------------------------------------------------------
 // Routing.
 //----------------------------------------------------------------------
 
 void
 Gateway::routeSubmit(std::uint64_t conn_id, std::uint64_t client_tag,
-                     Digest digest,
-                     std::vector<std::uint8_t> submit_payload,
-                     const TraceContext &ctx,
+                     Digest digest, SharedBytes payload,
+                     std::size_t offset, const TraceContext &ctx,
                      std::shared_ptr<RequestTrace> trace)
 {
     if (inst_.requests)
@@ -677,8 +646,8 @@ Gateway::routeSubmit(std::uint64_t conn_id, std::uint64_t client_tag,
     traceStamp(trace, TraceStage::Route);
     const std::uint64_t gwtag = next_tag_++;
     Backend &b = *backends_[idx];
-    b.conn.send(buildForwardFrame(gwtag, digest, submit_payload,
-                                  ctx.valid() ? &ctx : nullptr));
+    b.conn.send(forwardFrame(gwtag, digest, payload, offset,
+                             ctx.valid() ? &ctx : nullptr));
     traceStamp(trace, TraceStage::Dequeue); // "gw_forward"
     ++b.inflight;
     if (b.inflightGauge)
@@ -689,7 +658,8 @@ Gateway::routeSubmit(std::uint64_t conn_id, std::uint64_t client_tag,
     fl.clientTag = client_tag;
     fl.backendIdx = idx;
     fl.digest = digest;
-    fl.submitPayload = std::move(submit_payload);
+    fl.submitPayload = std::move(payload);
+    fl.payloadOffset = offset;
     fl.start = std::chrono::steady_clock::now();
     fl.ctx = ctx;
     fl.trace = std::move(trace);
@@ -756,7 +726,7 @@ Gateway::finishGatherIfDone(std::uint64_t gather_id)
 }
 
 std::shared_ptr<RequestTrace>
-Gateway::admitTrace(TraceContext *ctx, const ServeRequest &req)
+Gateway::admitTrace(TraceContext *ctx, const SubmitView &req)
 {
     // The edge owns the head-sampling decision: a request that
     // arrives without a context gets one minted here (sampled 1-in-N
@@ -768,7 +738,7 @@ Gateway::admitTrace(TraceContext *ctx, const ServeRequest &req)
     if (trace) {
         trace->tier = TraceTier::Gateway;
         trace->label = req.engine;
-        trace->kind = problemKindName(req.plan.kind);
+        trace->kind = problemKindName(req.kind);
         trace->stamp(TraceStage::Decode);
     }
     return trace;
@@ -782,46 +752,44 @@ Gateway::handleClientFrame(std::uint64_t conn_id, ClientConn &conn,
     const std::uint64_t tag = frame.header.tag;
     switch (frame.header.type) {
     case static_cast<std::uint16_t>(FrameType::Submit): {
-        // Decode with full wire strictness (bad payloads must not
-        // reach a backend), but only the digest is consumed here;
-        // the payload bytes relay as-is inside a FORWARD.
-        ServeRequest req;
+        // Check with full wire strictness (bad payloads must not
+        // reach a backend) and hash the operands where they lie; the
+        // payload buffer itself relays behind a FORWARD header.
+        SubmitView req;
         std::string err;
-        if (!decodeSubmit(frame.payload, &req, &err)) {
+        if (!checkSubmit(frame.payload.data(), frame.payload.size(),
+                         &req, &err)) {
             sendClientError(conn_id, tag, err);
             return;
         }
+        const Digest digest = submitDigest(req);
         TraceContext ctx = req.traceContext;
         std::shared_ptr<RequestTrace> trace = admitTrace(&ctx, req);
-        Digest digest = planDigest(req.engine, req.plan);
-        routeSubmit(conn_id, tag, digest, std::move(frame.payload),
-                    ctx, std::move(trace));
+        routeSubmit(conn_id, tag, digest,
+                    std::make_shared<const std::vector<std::uint8_t>>(
+                        std::move(frame.payload)),
+                    0, ctx, std::move(trace));
         return;
     }
     case static_cast<std::uint16_t>(FrameType::Forward): {
-        // A gateway one tier up already computed the digest: strip
-        // it, validate the embedded SUBMIT, and route — rings of
-        // rings compose.
+        // A gateway one tier up already computed the digest: check
+        // the embedded SUBMIT and route it, the old envelope skipped
+        // by offset — rings of rings compose.
         Digest digest = 0;
-        ServeRequest req;
+        SubmitView req;
+        std::size_t offset = 0;
         std::string err;
-        if (!decodeForward(frame.payload, &digest, &req, &err)) {
+        if (!checkForward(frame.payload.data(), frame.payload.size(),
+                          &digest, &req, &offset, &err)) {
             sendClientError(conn_id, tag, err);
             return;
         }
-        // Strip the FORWARD envelope: digest (8) + context marker
-        // (1) + the context block when the marker says so (the
-        // decode above validated both).
-        const std::size_t strip =
-            9 + (frame.payload[8] == 1 ? kTraceContextBytes : 0);
-        std::vector<std::uint8_t> submit_payload(
-            frame.payload.begin() +
-                static_cast<std::ptrdiff_t>(strip),
-            frame.payload.end());
         TraceContext ctx = req.traceContext;
         std::shared_ptr<RequestTrace> trace = admitTrace(&ctx, req);
-        routeSubmit(conn_id, tag, digest, std::move(submit_payload),
-                    ctx, std::move(trace));
+        routeSubmit(conn_id, tag, digest,
+                    std::make_shared<const std::vector<std::uint8_t>>(
+                        std::move(frame.payload)),
+                    offset, ctx, std::move(trace));
         return;
     }
     case static_cast<std::uint16_t>(FrameType::Ping): {
@@ -876,11 +844,10 @@ Gateway::handleBackendFrame(std::size_t idx, Frame &&frame)
                 frame.header.type ==
                 static_cast<std::uint16_t>(FrameType::Response);
         }
-        // Relay the payload bytes verbatim under the client's tag.
-        sendToClient(
-            fl.clientConnId,
-            buildFrame(static_cast<FrameType>(frame.header.type),
-                       fl.clientTag, frame.payload));
+        // Relay the payload buffer itself under the client's tag.
+        sendToClient(fl.clientConnId,
+                     relayFrame(static_cast<FrameType>(frame.header.type),
+                                fl.clientTag, std::move(frame.payload)));
         if (fl.trace) {
             fl.trace->stamp(TraceStage::Flush); // "gw_flush"
             collector_.finish(fl.trace);
@@ -994,7 +961,7 @@ Gateway::ioLoop()
                 continue;
             }
             ClientConn &c = *cit->second;
-            if (c.outoff >= c.outbuf.size() && !clientOwedWork(*it)) {
+            if (c.out.empty() && !clientOwedWork(*it)) {
                 std::uint64_t id = *it;
                 ++it;
                 closeClientConn(id); // erases from closing_conns_
@@ -1058,7 +1025,7 @@ Gateway::ioLoop()
             }
             bool alive = true;
             if (ev.writable)
-                alive = flushClient(conn);
+                alive = conn.out.flush(conn.fd) >= 0;
             if (alive && (ev.readable || ev.hangup))
                 alive = readReady(conn_id, conn);
             if (!alive) {

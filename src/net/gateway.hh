@@ -9,11 +9,13 @@
  * matrix should land on the backend whose shards already hold its
  * plan, whatever client opened which connection. Gateway provides
  * that hop. It speaks the ordinary wire protocol to clients (an
- * existing NetClient needs no changes), decodes each SUBMIT just
- * enough to compute its plan digest, and relays the already-encoded
- * payload to the owning backend inside a FORWARD frame — so the
- * digest is computed once at the edge and reused by the backend's
- * shard router and plan cache (net/protocol.hh).
+ * existing NetClient needs no changes), checks each SUBMIT in place
+ * and hashes its operands where they lie to get the plan digest, and
+ * relays the client's own payload buffer to the owning backend
+ * behind a FORWARD header — so the digest is computed once at the
+ * edge and reused by the backend's shard router and plan cache, and
+ * no payload byte is copied in the gateway (net/protocol.hh
+ * checkSubmit, forwardFrame).
  *
  *        clients ──▶ gateway IO thread ──FORWARD──▶ backend 0
  *                        │ ring over               backend 1
@@ -145,7 +147,16 @@ class Gateway
         /** Times one SUBMIT may fail over before the client gets an
          *  ERROR frame instead. */
         std::size_t maxResubmits = 2;
-        /** Ring points per backend (cluster/router.hh). */
+        /**
+         * Ring points per backend (cluster/router.hh). Known
+         * limitation: the ring is built from the same points as each
+         * backend's Cluster shard ring, so with equal counts
+         * (backends = shards per backend) a digest routed to backend
+         * k also lands on shard k there, leaving the other shards of
+         * every backend idle. Salting one ring fixes the spread but
+         * brings more plan-cache slots alive (ROADMAP.md, "Two-tier
+         * routing correlation").
+         */
         std::size_t virtualNodesPerBackend =
             ConsistentHashRouter::kDefaultVirtualNodes;
         /** Gateway obs/ registry (per-backend inflight gauges,
@@ -246,8 +257,7 @@ class Gateway
     {
         int fd = -1;
         FrameDecoder decoder;
-        std::vector<std::uint8_t> outbuf;
-        std::size_t outoff = 0;
+        OutQueue out;
         bool closing = false;
         std::uint32_t interest = 0;
 
@@ -291,8 +301,12 @@ class Gateway
         std::uint64_t clientTag = 0;
         std::size_t backendIdx = 0;
         Digest digest = 0;
-        /** The SUBMIT payload bytes, kept for resubmission. */
-        std::vector<std::uint8_t> submitPayload;
+        /** The client frame's payload buffer, shared with the FORWARD
+         *  frames that send it, so a resubmit copies nothing; the
+         *  SUBMIT payload starts at payloadOffset (past a relayed
+         *  FORWARD's envelope, else 0). */
+        SharedBytes submitPayload;
+        std::size_t payloadOffset = 0;
         std::size_t resubmits = 0;
         std::chrono::steady_clock::time_point start;
         /** The context FORWARDed with this request (!valid() = the
@@ -328,29 +342,24 @@ class Gateway
     void proberLoop();
     void acceptReady();
     bool readReady(std::uint64_t conn_id, ClientConn &conn);
-    /** Flush as much of conn.outbuf as the socket accepts.
-     *  @return false when the socket died. */
-    bool flushClient(ClientConn &conn);
     void handleClientFrame(std::uint64_t conn_id, ClientConn &conn,
                            Frame &&frame);
     void handleBackendFrame(std::size_t idx, Frame &&frame);
-    /** Route a decoded SUBMIT/FORWARD payload to its ring owner,
-     *  FORWARDing @p ctx when valid and stamping @p trace (may be
-     *  null) through the gateway stages. */
+    /** Route a checked SUBMIT payload (@p payload from @p offset on)
+     *  to its ring owner, FORWARDing @p ctx when valid and stamping
+     *  @p trace (may be null) through the gateway stages. */
     void routeSubmit(std::uint64_t conn_id, std::uint64_t client_tag,
-                     Digest digest,
-                     std::vector<std::uint8_t> submit_payload,
-                     const TraceContext &ctx,
+                     Digest digest, SharedBytes payload,
+                     std::size_t offset, const TraceContext &ctx,
                      std::shared_ptr<RequestTrace> trace);
     /** Fan a STATS/METRICS/TRACES request out to every routable
      *  backend. */
     void startGather(std::uint64_t conn_id, std::uint64_t client_tag,
                      Gather::Kind kind);
     void finishGatherIfDone(std::uint64_t gather_id);
-    /** Append bytes to a client connection's output buffer; no-op
-     *  when the connection is gone. IO thread only. */
-    void sendToClient(std::uint64_t conn_id,
-                      std::vector<std::uint8_t> bytes);
+    /** Queue a frame on a client connection; no-op when the
+     *  connection is gone. IO thread only. */
+    void sendToClient(std::uint64_t conn_id, OutFrame frame);
     void sendClientError(std::uint64_t conn_id, std::uint64_t tag,
                          const std::string &message);
     /** Install the client conn's interest mask (cf. NetServer). */
@@ -379,7 +388,7 @@ class Gateway
      *  door: mint a context when none arrived and tracing is on,
      *  adopt it into a gateway-tier trace, stamp Decode. */
     std::shared_ptr<RequestTrace>
-    admitTrace(TraceContext *ctx, const ServeRequest &req);
+    admitTrace(TraceContext *ctx, const SubmitView &req);
     /** Register the admin routes on @p admin (start() helper). */
     void registerAdminRoutes(HttpAdminServer &admin);
     /** Gather HealthInputs and run them through health_. */

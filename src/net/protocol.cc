@@ -1,16 +1,24 @@
 #include "net/protocol.hh"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <utility>
 
+#include <sys/ioctl.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
+
 #include "base/logging.hh"
+#include "serve/plan_cache.hh"
 
 namespace sap {
 
 // Scalars travel as little-endian IEEE-754 bit patterns; on a
 // little-endian host that is their in-memory layout, so operands move
-// with one bulk copy each (WireWriter/WireReader::scalars).
+// with one bulk copy each (WireWriter::scalars, and the WireReader
+// operands located by denseAt/vecAt).
 static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
               "the bulk scalar codec assumes a little-endian host");
 static_assert(sizeof(Scalar) == 8, "Scalar must be a 64-bit double");
@@ -96,9 +104,8 @@ WireWriter::str(const std::string &s)
 void
 WireWriter::scalars(const Scalar *p, Index n)
 {
-    const auto *bytes = reinterpret_cast<const std::uint8_t *>(p);
-    bytes_.insert(bytes_.end(), bytes,
-                  bytes + static_cast<std::size_t>(n) * sizeof(Scalar));
+    append(reinterpret_cast<const std::uint8_t *>(p),
+           static_cast<std::size_t>(n) * sizeof(Scalar));
 }
 
 void
@@ -191,30 +198,20 @@ WireReader::str(std::string *out)
     return true;
 }
 
-void
-WireReader::scalars(Scalar *out, std::uint64_t n)
-{
-    const std::size_t len = static_cast<std::size_t>(n) * sizeof(Scalar);
-    if (len != 0)
-        std::memcpy(out, data_ + pos_, len);
-    pos_ += len;
-}
-
 bool
-WireReader::vec(Vec<Scalar> *out)
+WireReader::vecAt(WireOperand *out)
 {
     std::int64_t n;
     if (!i64(&n) || n < 0 || n > kMaxWireDim ||
         static_cast<std::uint64_t>(n) > remaining() / sizeof(Scalar))
         return false;
-    Vec<Scalar> v(n);
-    scalars(v.raw(), static_cast<std::uint64_t>(n));
-    *out = std::move(v);
+    *out = {data_ + pos_, n, 1};
+    pos_ += static_cast<std::size_t>(n) * sizeof(Scalar);
     return true;
 }
 
 bool
-WireReader::dense(Dense<Scalar> *out)
+WireReader::denseAt(WireOperand *out)
 {
     std::int64_t rows, cols;
     if (!i64(&rows) || !i64(&cols))
@@ -229,9 +226,58 @@ WireReader::dense(Dense<Scalar> *out)
                           static_cast<std::uint64_t>(cols);
     if (count > remaining() / sizeof(Scalar))
         return false;
-    Dense<Scalar> m(rows, cols);
-    scalars(m.raw(), count);
-    *out = std::move(m);
+    *out = {data_ + pos_, rows, cols};
+    pos_ += static_cast<std::size_t>(count) * sizeof(Scalar);
+    return true;
+}
+
+namespace {
+
+/** The elements of a located operand, in one bulk copy. */
+void
+copyScalars(const WireOperand &op, Scalar *out)
+{
+    const std::size_t len =
+        static_cast<std::size_t>(op.rows * op.cols) * sizeof(Scalar);
+    if (len != 0)
+        std::memcpy(out, op.data, len);
+}
+
+Vec<Scalar>
+materialiseVec(const WireOperand &op)
+{
+    Vec<Scalar> v(op.rows);
+    copyScalars(op, v.raw());
+    return v;
+}
+
+Dense<Scalar>
+materialiseDense(const WireOperand &op)
+{
+    Dense<Scalar> m(op.rows, op.cols);
+    copyScalars(op, m.raw());
+    return m;
+}
+
+} // namespace
+
+bool
+WireReader::vec(Vec<Scalar> *out)
+{
+    WireOperand op;
+    if (!vecAt(&op))
+        return false;
+    *out = materialiseVec(op);
+    return true;
+}
+
+bool
+WireReader::dense(Dense<Scalar> *out)
+{
+    WireOperand op;
+    if (!denseAt(&op))
+        return false;
+    *out = materialiseDense(op);
     return true;
 }
 
@@ -239,18 +285,199 @@ WireReader::dense(Dense<Scalar> *out)
 // FrameDecoder
 //----------------------------------------------------------------------
 
+namespace {
+
+/** Bytes waiting in @p fd's receive queue (0 when unknown). */
+std::size_t
+queuedOn(int fd)
+{
+    int n = 0;
+    if (::ioctl(fd, FIONREAD, &n) != 0 || n < 0)
+        return 0;
+    return static_cast<std::size_t>(n);
+}
+
+} // namespace
+
+void
+FrameDecoder::poison(std::string reason)
+{
+    poisoned_ = true;
+    poison_reason_ = std::move(reason);
+    // The stream is dead: hold nothing for it.
+    stage_.reset();
+    stage_cap_ = 0;
+    begin_ = end_ = 0;
+    partial_ = Frame();
+    partial_have_ = 0;
+    partial_active_ = false;
+}
+
+bool
+FrameDecoder::checkHeader(FrameHeader *out)
+{
+    WireReader r(stage_.get() + begin_, end_ - begin_);
+    FrameHeader h;
+    // Reads cannot fail: the caller staged kFrameHeaderBytes.
+    r.u32(&h.magic);
+    r.u16(&h.version);
+    r.u16(&h.type);
+    r.u64(&h.tag);
+    r.u32(&h.payloadLen);
+
+    if (h.magic != kWireMagic) {
+        char hex[16];
+        std::snprintf(hex, sizeof(hex), "%08x", h.magic);
+        poison("bad magic 0x" + std::string(hex));
+    } else if (h.version != kWireVersion) {
+        poison("unsupported protocol version " +
+               std::to_string(h.version) + " (speaking " +
+               std::to_string(kWireVersion) + ")");
+    } else if (h.payloadLen > max_payload_) {
+        poison("payload length " + std::to_string(h.payloadLen) +
+               " exceeds the " + std::to_string(max_payload_) +
+               "-byte cap");
+    }
+    *out = h;
+    return !poisoned_;
+}
+
+void
+FrameDecoder::stageRoom(std::size_t n)
+{
+    if (begin_ == end_)
+        begin_ = end_ = 0;
+    if (stage_cap_ - end_ >= n)
+        return;
+    const std::size_t live = end_ - begin_;
+    if (stage_cap_ - live >= n) {
+        std::memmove(stage_.get(), stage_.get() + begin_, live);
+    } else {
+        const std::size_t cap =
+            std::max({kStagingBytes, 2 * stage_cap_, live + n});
+        // Default-initialized: receive space is never zero-filled.
+        std::unique_ptr<std::uint8_t[]> grown(new std::uint8_t[cap]);
+        if (live != 0)
+            std::memcpy(grown.get(), stage_.get() + begin_, live);
+        stage_ = std::move(grown);
+        stage_cap_ = cap;
+    }
+    begin_ = 0;
+    end_ = live;
+}
+
+void
+FrameDecoder::fitStage()
+{
+    const std::size_t live = end_ - begin_;
+    if (live == stage_cap_)
+        return;
+    std::unique_ptr<std::uint8_t[]> fit;
+    if (live != 0) {
+        fit.reset(new std::uint8_t[live]);
+        std::memcpy(fit.get(), stage_.get() + begin_, live);
+    }
+    stage_ = std::move(fit);
+    stage_cap_ = live;
+    begin_ = 0;
+    end_ = live;
+}
+
+void
+FrameDecoder::growPartial(std::size_t extra, int fd)
+{
+    // Grow with what has arrived — double, or make room for the
+    // bytes in hand or already waiting in the socket, at least one
+    // staging area — never straight to the announced length, which
+    // a stalled peer need never back.
+    const std::size_t len = partial_.header.payloadLen;
+    const std::size_t have = partial_have_;
+    std::size_t step = std::max({have, extra, kStagingBytes});
+    if (fd >= 0 && len - have > step)
+        step = std::max(step, queuedOn(fd));
+    const std::size_t target = std::min<std::size_t>(len, have + step);
+    if (target <= partial_.payload.size())
+        return;
+    partial_.payload.reserve(target);
+    partial_.payload.resize(target);
+}
+
+void
+FrameDecoder::startPartial(int fd)
+{
+    if (partial_active_ || poisoned_ ||
+        end_ - begin_ < kFrameHeaderBytes)
+        return;
+    FrameHeader h;
+    if (!checkHeader(&h))
+        return;
+    const std::size_t staged = end_ - begin_ - kFrameHeaderBytes;
+    if (staged >= h.payloadLen)
+        return; // complete: next() takes it from the staging area
+    // The staged bytes are all this frame's (it is incomplete), so
+    // they move over and the staging area empties.
+    partial_.header = h;
+    partial_have_ = 0;
+    partial_active_ = true;
+    growPartial(staged, fd);
+    if (staged != 0)
+        std::memcpy(partial_.payload.data(),
+                    stage_.get() + begin_ + kFrameHeaderBytes, staged);
+    partial_have_ = staged;
+    begin_ = end_ = 0;
+}
+
 void
 FrameDecoder::feed(const std::uint8_t *data, std::size_t len)
 {
     if (poisoned_)
         return; // the stream is dead; don't accumulate garbage
-    // Compact lazily so long sessions don't grow the buffer forever.
-    if (consumed_ > 0 && consumed_ >= buf_.size() / 2) {
-        buf_.erase(buf_.begin(),
-                   buf_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-        consumed_ = 0;
+    if (partial_active_ && partial_have_ < partial_.header.payloadLen) {
+        const std::size_t n = std::min<std::size_t>(
+            len, partial_.header.payloadLen - partial_have_);
+        if (partial_have_ + n > partial_.payload.size())
+            growPartial(n, -1);
+        std::memcpy(partial_.payload.data() + partial_have_, data, n);
+        partial_have_ += n;
+        data += n;
+        len -= n;
     }
-    buf_.insert(buf_.end(), data, data + len);
+    if (len == 0)
+        return;
+    stageRoom(len);
+    std::memcpy(stage_.get() + end_, data, len);
+    end_ += len;
+    startPartial(-1);
+}
+
+ssize_t
+FrameDecoder::receive(int fd)
+{
+    startPartial(fd);
+    ssize_t n;
+    if (partial_active_ && partial_have_ < partial_.header.payloadLen) {
+        if (partial_have_ == partial_.payload.size())
+            growPartial(0, fd);
+        // Never past this frame's end: what follows it is staged.
+        n = ::recv(fd, partial_.payload.data() + partial_have_,
+                   partial_.payload.size() - partial_have_, 0);
+        if (n > 0)
+            partial_have_ += static_cast<std::size_t>(n);
+    } else {
+        stageRoom(kStagingBytes / 2);
+        n = ::recv(fd, stage_.get() + end_, stage_cap_ - end_, 0);
+        if (n > 0 && !poisoned_)
+            end_ += static_cast<std::size_t>(n);
+    }
+    if (n <= 0 || poisoned_) {
+        // Nothing more to read for now: an idle connection keeps no
+        // staging area beyond its unconsumed bytes (at most a split
+        // header once its frames are drained).
+        const int saved = errno;
+        fitStage();
+        errno = saved;
+    }
+    return n;
 }
 
 FrameDecoder::Result
@@ -261,119 +488,179 @@ FrameDecoder::next(Frame *out, std::string *error)
             *error = poison_reason_;
         return Result::Malformed;
     }
-    const std::size_t avail = buf_.size() - consumed_;
-    if (avail < kFrameHeaderBytes)
+    if (partial_active_) {
+        if (partial_have_ < partial_.header.payloadLen)
+            return Result::NeedMore;
+        // Received in place: hand the buffer over, no copy.
+        *out = std::move(partial_);
+        partial_ = Frame();
+        partial_have_ = 0;
+        partial_active_ = false;
+        return Result::Ok;
+    }
+    if (end_ - begin_ < kFrameHeaderBytes)
         return Result::NeedMore;
-
-    WireReader r(buf_.data() + consumed_, avail);
     FrameHeader h;
-    // Reads cannot fail: avail >= kFrameHeaderBytes.
-    r.u32(&h.magic);
-    r.u16(&h.version);
-    r.u16(&h.type);
-    r.u64(&h.tag);
-    r.u32(&h.payloadLen);
-
-    if (h.magic != kWireMagic)
-        poison_reason_ = "bad magic 0x" + [&] {
-            char hex[16];
-            std::snprintf(hex, sizeof(hex), "%08x", h.magic);
-            return std::string(hex);
-        }();
-    else if (h.version != kWireVersion)
-        poison_reason_ = "unsupported protocol version " +
-                         std::to_string(h.version) + " (speaking " +
-                         std::to_string(kWireVersion) + ")";
-    else if (h.payloadLen > max_payload_)
-        poison_reason_ = "payload length " +
-                         std::to_string(h.payloadLen) +
-                         " exceeds the " +
-                         std::to_string(max_payload_) + "-byte cap";
-    if (!poison_reason_.empty()) {
-        poisoned_ = true;
-        buf_.clear();
-        consumed_ = 0;
+    if (!checkHeader(&h)) {
         if (error)
             *error = poison_reason_;
         return Result::Malformed;
     }
-
-    if (avail < kFrameHeaderBytes + h.payloadLen)
+    if (end_ - begin_ - kFrameHeaderBytes < h.payloadLen)
         return Result::NeedMore;
 
     out->header = h;
-    const std::uint8_t *p = buf_.data() + consumed_ + kFrameHeaderBytes;
+    const std::uint8_t *p = stage_.get() + begin_ + kFrameHeaderBytes;
     out->payload.assign(p, p + h.payloadLen);
-    consumed_ += kFrameHeaderBytes + h.payloadLen;
+    begin_ += kFrameHeaderBytes + h.payloadLen;
     return Result::Ok;
+}
+
+//----------------------------------------------------------------------
+// OutQueue
+//----------------------------------------------------------------------
+
+void
+OutQueue::push(OutFrame frame)
+{
+    const std::size_t n = frame.size();
+    if (n == 0)
+        return;
+    queued_ += n;
+    frames_.push_back(std::move(frame));
+}
+
+void
+OutQueue::clear()
+{
+    frames_.clear();
+    front_sent_ = 0;
+    queued_ = 0;
+}
+
+ssize_t
+OutQueue::flush(int fd)
+{
+    constexpr int kMaxIov = 64;
+    std::size_t total = 0;
+    while (!frames_.empty()) {
+        // Gather head and body of as many frames as fit, skipping
+        // what an earlier partial write already sent.
+        iovec iov[kMaxIov];
+        int count = 0;
+        std::size_t want = 0;
+        std::size_t skip = front_sent_;
+        auto add = [&](const std::uint8_t *p, std::size_t len) {
+            if (skip >= len) {
+                skip -= len;
+                return;
+            }
+            iov[count].iov_base = const_cast<std::uint8_t *>(p + skip);
+            iov[count].iov_len = len - skip;
+            want += len - skip;
+            skip = 0;
+            ++count;
+        };
+        for (auto it = frames_.begin();
+             it != frames_.end() && count + 2 <= kMaxIov; ++it) {
+            add(it->head.data(), it->head.size());
+            if (it->body)
+                add(it->body->data() + it->bodyOffset,
+                    it->body->size() - it->bodyOffset);
+        }
+        msghdr msg{};
+        msg.msg_iov = iov;
+        msg.msg_iovlen = static_cast<std::size_t>(count);
+        ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            if (errno == EAGAIN || errno == EWOULDBLOCK)
+                break;
+            return -1;
+        }
+        const std::size_t sent = static_cast<std::size_t>(n);
+        total += sent;
+        queued_ -= sent;
+        front_sent_ += sent;
+        while (!frames_.empty() && front_sent_ >= frames_.front().size()) {
+            front_sent_ -= frames_.front().size();
+            frames_.pop_front();
+        }
+        if (sent < want)
+            break; // the socket buffer is full
+    }
+    return static_cast<ssize_t>(total);
 }
 
 //----------------------------------------------------------------------
 // Frame builders
 //----------------------------------------------------------------------
 
-std::vector<std::uint8_t>
-buildFrame(FrameType type, std::uint64_t tag,
-           const std::vector<std::uint8_t> &payload)
+namespace {
+
+/** A frame header announcing @p payload_len bytes. */
+void
+writeHeader(WireWriter &w, FrameType type, std::uint64_t tag,
+            std::size_t payload_len)
 {
     // The len field is u32; silently wrapping would emit a corrupt
     // frame, so an over-large payload is a caller bug.
-    SAP_ASSERT(payload.size() <= 0xFFFFFFFFu,
-               "frame payload of ", payload.size(),
-               " bytes exceeds the u32 length field");
-    WireWriter w;
+    SAP_ASSERT(payload_len <= 0xFFFFFFFFu, "frame payload of ",
+               payload_len, " bytes exceeds the u32 length field");
     w.u32(kWireMagic);
     w.u16(kWireVersion);
     w.u16(static_cast<std::uint16_t>(type));
     w.u64(tag);
-    w.u32(static_cast<std::uint32_t>(payload.size()));
+    w.u32(static_cast<std::uint32_t>(payload_len));
+}
+
+/** Set the length field of the header at the front of @p head. */
+void
+patchLength(std::vector<std::uint8_t> &head, std::size_t payload_len)
+{
+    SAP_ASSERT(payload_len <= 0xFFFFFFFFu, "frame payload of ",
+               payload_len, " bytes exceeds the u32 length field");
+    for (int i = 0; i < 4; ++i)
+        head[16 + i] = static_cast<std::uint8_t>(payload_len >> (8 * i));
+}
+
+/**
+ * One encode pass for a whole frame: header, then @p encode writes
+ * the payload behind it, then the length field is patched — no
+ * payload buffer to concatenate afterwards.
+ */
+template <typename Encode>
+std::vector<std::uint8_t>
+framed(FrameType type, std::uint64_t tag, Encode &&encode)
+{
+    WireWriter w;
+    writeHeader(w, type, tag, 0);
+    encode(w);
     std::vector<std::uint8_t> frame = w.take();
-    frame.insert(frame.end(), payload.begin(), payload.end());
+    patchLength(frame, frame.size() - kFrameHeaderBytes);
     return frame;
 }
 
-std::vector<std::uint8_t>
-buildSubmitFrame(std::uint64_t tag, const ServeRequest &req)
-{
-    return buildFrame(FrameType::Submit, tag, encodeSubmit(req));
-}
+void
+writeSubmit(WireWriter &w, const ServeRequest &req);
+void
+writeResponse(WireWriter &w, const WireResponse &resp);
+void
+writeStats(WireWriter &w, const ServerStats &stats);
+void
+writeMetrics(WireWriter &w, const MetricsSnapshot &snap);
+void
+writeTraces(WireWriter &w, const std::vector<RequestTrace> &traces,
+            std::uint64_t totalCommitted);
+void
+writeError(WireWriter &w, const std::string &message);
 
-std::vector<std::uint8_t>
-buildResponseFrame(std::uint64_t tag, const WireResponse &resp)
+/** The FORWARD envelope: digest, context marker, optional context. */
+void
+writeForwardEnvelope(WireWriter &w, Digest digest,
+                     const TraceContext *ctx)
 {
-    return buildFrame(FrameType::Response, tag, encodeResponse(resp));
-}
-
-std::vector<std::uint8_t>
-buildStatsRequestFrame(std::uint64_t tag)
-{
-    return buildFrame(FrameType::Stats, tag, {});
-}
-
-std::vector<std::uint8_t>
-buildStatsFrame(std::uint64_t tag, const ServerStats &stats)
-{
-    return buildFrame(FrameType::Stats, tag, encodeStats(stats));
-}
-
-std::vector<std::uint8_t>
-buildMetricsRequestFrame(std::uint64_t tag)
-{
-    return buildFrame(FrameType::Metrics, tag, {});
-}
-
-std::vector<std::uint8_t>
-buildMetricsFrame(std::uint64_t tag, const MetricsSnapshot &snap)
-{
-    return buildFrame(FrameType::Metrics, tag, encodeMetrics(snap));
-}
-
-std::vector<std::uint8_t>
-buildForwardFrame(std::uint64_t tag, Digest digest,
-                  const std::vector<std::uint8_t> &submit_payload,
-                  const TraceContext *ctx)
-{
-    WireWriter w;
     w.u64(digest);
     if (ctx && ctx->valid()) {
         w.u8(1);
@@ -381,16 +668,103 @@ buildForwardFrame(std::uint64_t tag, Digest digest,
     } else {
         w.u8(0);
     }
-    std::vector<std::uint8_t> payload = w.take();
-    payload.insert(payload.end(), submit_payload.begin(),
-                   submit_payload.end());
-    return buildFrame(FrameType::Forward, tag, payload);
+}
+
+} // namespace
+
+std::vector<std::uint8_t>
+buildFrame(FrameType type, std::uint64_t tag,
+           const std::vector<std::uint8_t> &payload)
+{
+    return framed(type, tag, [&](WireWriter &w) {
+        w.reserve(payload.size());
+        w.append(payload.data(), payload.size());
+    });
+}
+
+OutFrame
+relayFrame(FrameType type, std::uint64_t tag,
+           std::vector<std::uint8_t> payload)
+{
+    WireWriter w;
+    writeHeader(w, type, tag, payload.size());
+    OutFrame f(w.take());
+    f.body = std::make_shared<const std::vector<std::uint8_t>>(
+        std::move(payload));
+    return f;
+}
+
+OutFrame
+forwardFrame(std::uint64_t tag, Digest digest, const SharedBytes &payload,
+             std::size_t offset, const TraceContext *ctx)
+{
+    OutFrame f(framed(FrameType::Forward, tag, [&](WireWriter &w) {
+        writeForwardEnvelope(w, digest, ctx);
+    }));
+    // The header announces envelope + body.
+    patchLength(f.head, f.head.size() - kFrameHeaderBytes +
+                            payload->size() - offset);
+    f.body = payload;
+    f.bodyOffset = offset;
+    return f;
+}
+
+std::vector<std::uint8_t>
+buildSubmitFrame(std::uint64_t tag, const ServeRequest &req)
+{
+    return framed(FrameType::Submit, tag,
+                  [&](WireWriter &w) { writeSubmit(w, req); });
+}
+
+std::vector<std::uint8_t>
+buildResponseFrame(std::uint64_t tag, const WireResponse &resp)
+{
+    return framed(FrameType::Response, tag,
+                  [&](WireWriter &w) { writeResponse(w, resp); });
+}
+
+std::vector<std::uint8_t>
+buildStatsRequestFrame(std::uint64_t tag)
+{
+    return framed(FrameType::Stats, tag, [](WireWriter &) {});
+}
+
+std::vector<std::uint8_t>
+buildStatsFrame(std::uint64_t tag, const ServerStats &stats)
+{
+    return framed(FrameType::Stats, tag,
+                  [&](WireWriter &w) { writeStats(w, stats); });
+}
+
+std::vector<std::uint8_t>
+buildMetricsRequestFrame(std::uint64_t tag)
+{
+    return framed(FrameType::Metrics, tag, [](WireWriter &) {});
+}
+
+std::vector<std::uint8_t>
+buildMetricsFrame(std::uint64_t tag, const MetricsSnapshot &snap)
+{
+    return framed(FrameType::Metrics, tag,
+                  [&](WireWriter &w) { writeMetrics(w, snap); });
+}
+
+std::vector<std::uint8_t>
+buildForwardFrame(std::uint64_t tag, Digest digest,
+                  const std::vector<std::uint8_t> &submit_payload,
+                  const TraceContext *ctx)
+{
+    return framed(FrameType::Forward, tag, [&](WireWriter &w) {
+        writeForwardEnvelope(w, digest, ctx);
+        w.reserve(submit_payload.size());
+        w.append(submit_payload.data(), submit_payload.size());
+    });
 }
 
 std::vector<std::uint8_t>
 buildTracesRequestFrame(std::uint64_t tag)
 {
-    return buildFrame(FrameType::Traces, tag, {});
+    return framed(FrameType::Traces, tag, [](WireWriter &) {});
 }
 
 std::vector<std::uint8_t>
@@ -398,20 +772,22 @@ buildTracesFrame(std::uint64_t tag,
                  const std::vector<RequestTrace> &traces,
                  std::uint64_t totalCommitted)
 {
-    return buildFrame(FrameType::Traces, tag,
-                      encodeTraces(traces, totalCommitted));
+    return framed(FrameType::Traces, tag, [&](WireWriter &w) {
+        writeTraces(w, traces, totalCommitted);
+    });
 }
 
 std::vector<std::uint8_t>
 buildPingFrame(std::uint64_t tag)
 {
-    return buildFrame(FrameType::Ping, tag, {});
+    return framed(FrameType::Ping, tag, [](WireWriter &) {});
 }
 
 std::vector<std::uint8_t>
 buildErrorFrame(std::uint64_t tag, const std::string &message)
 {
-    return buildFrame(FrameType::Error, tag, encodeError(message));
+    return framed(FrameType::Error, tag,
+                  [&](WireWriter &w) { writeError(w, message); });
 }
 
 //----------------------------------------------------------------------
@@ -456,10 +832,34 @@ decodeTraceContext(WireReader &r, TraceContext *out, const char *what,
 // SUBMIT payload
 //----------------------------------------------------------------------
 
-std::vector<std::uint8_t>
-encodeSubmit(const ServeRequest &req)
+namespace {
+
+/** Encoded SUBMIT size of @p req's operands (for one reservation). */
+std::size_t
+submitOperandBytes(const EnginePlan &plan)
 {
-    WireWriter w;
+    auto dense = [](const Dense<Scalar> &m) {
+        return 16 + static_cast<std::size_t>(m.rows() * m.cols()) * 8;
+    };
+    auto vec = [](const Vec<Scalar> &v) {
+        return 8 + static_cast<std::size_t>(v.size()) * 8;
+    };
+    switch (plan.kind) {
+    case ProblemKind::MatVec:
+        return dense(plan.a) + vec(plan.x) + vec(plan.b);
+    case ProblemKind::MatMul:
+        return dense(plan.a) + dense(plan.bmat) + dense(plan.e);
+    case ProblemKind::TriSolve:
+        return dense(plan.a) + vec(plan.b);
+    }
+    return 0;
+}
+
+void
+writeSubmit(WireWriter &w, const ServeRequest &req)
+{
+    w.reserve(4 + req.engine.size() + 10 + kTraceContextBytes +
+              submitOperandBytes(req.plan));
     w.str(req.engine);
     w.u8(static_cast<std::uint8_t>(req.plan.kind));
     w.i64(req.plan.w);
@@ -495,20 +895,25 @@ encodeSubmit(const ServeRequest &req)
         w.vec(req.plan.b);
         break;
     }
+}
+
+} // namespace
+
+std::vector<std::uint8_t>
+encodeSubmit(const ServeRequest &req)
+{
+    WireWriter w;
+    writeSubmit(w, req);
     return w.take();
 }
 
-namespace {
-
-/** decodeSubmit over a raw span, so FORWARD can decode its embedded
- *  SUBMIT payload without copying it out first. */
 bool
-decodeSubmitSpan(const std::uint8_t *data, std::size_t size,
-                 ServeRequest *out, std::string *error)
+checkSubmit(const std::uint8_t *data, std::size_t size, SubmitView *out,
+            std::string *error)
 {
     WireReader r(data, size);
-    ServeRequest req;
-    if (!r.str(&req.engine))
+    SubmitView v;
+    if (!r.str(&v.engine))
         return failDecode(error, "truncated SUBMIT: engine name");
     std::uint8_t kind_byte;
     if (!r.u8(&kind_byte))
@@ -516,23 +921,22 @@ decodeSubmitSpan(const std::uint8_t *data, std::size_t size,
     if (kind_byte > static_cast<std::uint8_t>(ProblemKind::TriSolve))
         return failDecode(error, "unknown problem kind " +
                                      std::to_string(kind_byte));
-    req.plan.kind = static_cast<ProblemKind>(kind_byte);
-    if (!r.i64(&req.plan.w))
+    v.kind = static_cast<ProblemKind>(kind_byte);
+    if (!r.i64(&v.w))
         return failDecode(error, "truncated SUBMIT: array size");
-    if (req.plan.w < 1 || req.plan.w > kMaxWireDim)
-        return failDecode(error, "array size w=" +
-                                     std::to_string(req.plan.w) +
+    if (v.w < 1 || v.w > kMaxWireDim)
+        return failDecode(error, "array size w=" + std::to_string(v.w) +
                                      " out of range");
     std::uint8_t flags;
     if (!r.u8(&flags))
         return failDecode(error, "truncated SUBMIT: flags");
-    req.crossCheck = (flags & kSubmitFlagCrossCheck) != 0;
+    v.crossCheck = (flags & kSubmitFlagCrossCheck) != 0;
     const std::uint8_t mode_bits =
         (flags >> kSubmitModeShift) & kSubmitModeMask;
     if (mode_bits > static_cast<std::uint8_t>(ExecMode::Validate))
         return failDecode(error, "unknown execution mode " +
                                      std::to_string(mode_bits));
-    req.plan.mode = static_cast<ExecMode>(mode_bits);
+    v.mode = static_cast<ExecMode>(mode_bits);
     if ((flags & kSubmitFlagRecordTrace) != 0)
         return failDecode(error,
                           "SUBMIT requests recordTrace, but RESPONSE "
@@ -540,34 +944,32 @@ decodeSubmitSpan(const std::uint8_t *data, std::size_t size,
     if ((flags & ~kSubmitFlagsKnown) != 0)
         return failDecode(error, "reserved SUBMIT flag bits set");
     if ((flags & kSubmitFlagTraceContext) != 0 &&
-        !decodeTraceContext(r, &req.traceContext, "SUBMIT", error))
+        !decodeTraceContext(r, &v.traceContext, "SUBMIT", error))
         return false;
 
-    if (!r.dense(&req.plan.a))
+    if (!r.denseAt(&v.a))
         return failDecode(error, "truncated SUBMIT: matrix A");
-    if (req.plan.a.rows() == 0 || req.plan.a.cols() == 0)
+    if (v.a.rows == 0 || v.a.cols == 0)
         return failDecode(error, "zero-dimension matrix A (" +
-                                     std::to_string(req.plan.a.rows()) +
-                                     "x" +
-                                     std::to_string(req.plan.a.cols()) +
-                                     ")");
-    switch (req.plan.kind) {
+                                     std::to_string(v.a.rows) + "x" +
+                                     std::to_string(v.a.cols) + ")");
+    switch (v.kind) {
     case ProblemKind::MatVec:
-        if (!r.vec(&req.plan.x))
+        if (!r.vecAt(&v.x))
             return failDecode(error, "truncated SUBMIT: vector x");
-        if (!r.vec(&req.plan.b))
+        if (!r.vecAt(&v.b))
             return failDecode(error, "truncated SUBMIT: vector b");
         break;
     case ProblemKind::MatMul:
-        if (!r.dense(&req.plan.bmat))
+        if (!r.denseAt(&v.bmat))
             return failDecode(error, "truncated SUBMIT: matrix B");
-        if (req.plan.bmat.rows() == 0 || req.plan.bmat.cols() == 0)
+        if (v.bmat.rows == 0 || v.bmat.cols == 0)
             return failDecode(error, "zero-dimension matrix B");
-        if (!r.dense(&req.plan.e))
+        if (!r.denseAt(&v.e))
             return failDecode(error, "truncated SUBMIT: matrix E");
         break;
     case ProblemKind::TriSolve:
-        if (!r.vec(&req.plan.b))
+        if (!r.vecAt(&v.b))
             return failDecode(error, "truncated SUBMIT: vector b");
         break;
     }
@@ -575,25 +977,68 @@ decodeSubmitSpan(const std::uint8_t *data, std::size_t size,
         return failDecode(error,
                           std::to_string(r.remaining()) +
                               " trailing bytes after SUBMIT payload");
-    *out = std::move(req);
+    *out = std::move(v);
     return true;
 }
 
-} // namespace
+void
+materialiseSubmit(const SubmitView &v, ServeRequest *out)
+{
+    ServeRequest req;
+    req.engine = v.engine;
+    req.crossCheck = v.crossCheck;
+    req.traceContext = v.traceContext;
+    req.plan.kind = v.kind;
+    req.plan.w = v.w;
+    req.plan.mode = v.mode;
+    req.plan.a = materialiseDense(v.a);
+    switch (v.kind) {
+    case ProblemKind::MatVec:
+        req.plan.x = materialiseVec(v.x);
+        req.plan.b = materialiseVec(v.b);
+        break;
+    case ProblemKind::MatMul:
+        req.plan.bmat = materialiseDense(v.bmat);
+        req.plan.e = materialiseDense(v.e);
+        break;
+    case ProblemKind::TriSolve:
+        req.plan.b = materialiseVec(v.b);
+        break;
+    }
+    *out = std::move(req);
+}
+
+Digest
+submitDigest(const SubmitView &v)
+{
+    // Wire operands are little-endian f64, row-major: on this
+    // (little-endian) host exactly the bytes fingerprintDense hashes.
+    return combinePlanDigest(
+        v.engine, v.kind, v.w,
+        fingerprintDenseBytes(v.a.data, v.a.rows, v.a.cols),
+        v.kind == ProblemKind::MatMul
+            ? fingerprintDenseBytes(v.bmat.data, v.bmat.rows,
+                                    v.bmat.cols)
+            : 0);
+}
 
 bool
 decodeSubmit(const std::vector<std::uint8_t> &payload,
              ServeRequest *out, std::string *error)
 {
-    return decodeSubmitSpan(payload.data(), payload.size(), out,
-                            error);
+    SubmitView v;
+    if (!checkSubmit(payload.data(), payload.size(), &v, error))
+        return false;
+    materialiseSubmit(v, out);
+    return true;
 }
 
 bool
-decodeForward(const std::vector<std::uint8_t> &payload, Digest *digest,
-              ServeRequest *out, std::string *error)
+checkForward(const std::uint8_t *data, std::size_t size, Digest *digest,
+             SubmitView *out, std::size_t *submit_offset,
+             std::string *error)
 {
-    WireReader r(payload);
+    WireReader r(data, size);
     std::uint64_t d;
     if (!r.u64(&d))
         return failDecode(error, "truncated FORWARD: digest");
@@ -608,9 +1053,8 @@ decodeForward(const std::vector<std::uint8_t> &payload, Digest *digest,
     if (ctx_present == 1 &&
         !decodeTraceContext(r, &ctx, "FORWARD", error))
         return false;
-    if (!decodeSubmitSpan(payload.data() + (payload.size() -
-                                            r.remaining()),
-                          r.remaining(), out, error))
+    const std::size_t offset = r.offset();
+    if (!checkSubmit(data + offset, size - offset, out, error))
         return false;
     // The gateway's FORWARD-level context wins over any context the
     // client embedded in the SUBMIT (the gateway owns the attempt
@@ -618,6 +1062,20 @@ decodeForward(const std::vector<std::uint8_t> &payload, Digest *digest,
     if (ctx_present == 1)
         out->traceContext = ctx;
     *digest = d;
+    *submit_offset = offset;
+    return true;
+}
+
+bool
+decodeForward(const std::vector<std::uint8_t> &payload, Digest *digest,
+              ServeRequest *out, std::string *error)
+{
+    SubmitView v;
+    std::size_t offset = 0;
+    if (!checkForward(payload.data(), payload.size(), digest, &v,
+                      &offset, error))
+        return false;
+    materialiseSubmit(v, out);
     return true;
 }
 
@@ -625,11 +1083,12 @@ decodeForward(const std::vector<std::uint8_t> &payload, Digest *digest,
 // TRACES payload
 //----------------------------------------------------------------------
 
-std::vector<std::uint8_t>
-encodeTraces(const std::vector<RequestTrace> &traces,
-             std::uint64_t totalCommitted)
+namespace {
+
+void
+writeTraces(WireWriter &w, const std::vector<RequestTrace> &traces,
+            std::uint64_t totalCommitted)
 {
-    WireWriter w;
     w.u64(totalCommitted);
     w.u32(static_cast<std::uint32_t>(traces.size()));
     for (const RequestTrace &t : traces) {
@@ -653,6 +1112,16 @@ encodeTraces(const std::vector<RequestTrace> &traces,
             w.u64(e.nanos);
         }
     }
+}
+
+} // namespace
+
+std::vector<std::uint8_t>
+encodeTraces(const std::vector<RequestTrace> &traces,
+             std::uint64_t totalCommitted)
+{
+    WireWriter w;
+    writeTraces(w, traces, totalCommitted);
     return w.take();
 }
 
@@ -749,10 +1218,14 @@ WireResponse::of(ServeResponse resp)
     return wire;
 }
 
-std::vector<std::uint8_t>
-encodeResponse(const WireResponse &resp)
+namespace {
+
+void
+writeResponse(WireWriter &w, const WireResponse &resp)
 {
-    WireWriter w;
+    w.reserve(47 + resp.error.size() +
+              8 * static_cast<std::size_t>(resp.y.size() +
+                                           resp.c.rows() * resp.c.cols()));
     w.u8(resp.ok ? 1 : 0);
     w.str(resp.error);
     w.u8(resp.cacheHit ? 1 : 0);
@@ -761,6 +1234,15 @@ encodeResponse(const WireResponse &resp)
     w.i64(resp.simCycles);
     w.vec(resp.y);
     w.dense(resp.c);
+}
+
+} // namespace
+
+std::vector<std::uint8_t>
+encodeResponse(const WireResponse &resp)
+{
+    WireWriter w;
+    writeResponse(w, resp);
     return w.take();
 }
 
@@ -811,10 +1293,11 @@ decodeLatency(WireReader &r, LatencySummary *l)
 
 } // namespace
 
-std::vector<std::uint8_t>
-encodeStats(const ServerStats &stats)
+namespace {
+
+void
+writeStats(WireWriter &w, const ServerStats &stats)
 {
-    WireWriter w;
     w.u64(stats.requests);
     w.u64(stats.failures);
     w.u64(stats.crossCheckFailures);
@@ -838,6 +1321,15 @@ encodeStats(const ServerStats &stats)
         w.i64(g.simCycles);
         encodeLatency(w, g.latency);
     }
+}
+
+} // namespace
+
+std::vector<std::uint8_t>
+encodeStats(const ServerStats &stats)
+{
+    WireWriter w;
+    writeStats(w, stats);
     return w.take();
 }
 
@@ -901,10 +1393,11 @@ decodeStats(const std::vector<std::uint8_t> &payload, ServerStats *out,
 // METRICS payload
 //----------------------------------------------------------------------
 
-std::vector<std::uint8_t>
-encodeMetrics(const MetricsSnapshot &snap)
+namespace {
+
+void
+writeMetrics(WireWriter &w, const MetricsSnapshot &snap)
 {
-    WireWriter w;
     w.u32(static_cast<std::uint32_t>(snap.counters.size()));
     for (const auto &[name, v] : snap.counters) {
         w.str(name);
@@ -929,6 +1422,15 @@ encodeMetrics(const MetricsSnapshot &snap)
             w.u64(h.bucketCount[i]);
         }
     }
+}
+
+} // namespace
+
+std::vector<std::uint8_t>
+encodeMetrics(const MetricsSnapshot &snap)
+{
+    WireWriter w;
+    writeMetrics(w, snap);
     return w.take();
 }
 
@@ -1039,14 +1541,24 @@ decodeMetrics(const std::vector<std::uint8_t> &payload,
 // ERROR payload
 //----------------------------------------------------------------------
 
-std::vector<std::uint8_t>
-encodeError(const std::string &message)
+namespace {
+
+void
+writeError(WireWriter &w, const std::string &message)
 {
-    WireWriter w;
     // Cap defensively: the decode side rejects over-long strings.
     w.str(message.size() > kMaxWireString
               ? message.substr(0, kMaxWireString)
               : message);
+}
+
+} // namespace
+
+std::vector<std::uint8_t>
+encodeError(const std::string &message)
+{
+    WireWriter w;
+    writeError(w, message);
     return w.take();
 }
 

@@ -68,8 +68,12 @@
 #define SAP_NET_PROTOCOL_HH
 
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include <sys/types.h>
 
 #include "obs/metrics.hh"
 #include "serve/server_stats.hh"
@@ -178,6 +182,15 @@ class WireWriter
     /** i64 rows, i64 cols, then row-major elements as f64. */
     void dense(const Dense<Scalar> &m);
 
+    /** @p n raw bytes, in one bulk insert. */
+    void append(const std::uint8_t *p, std::size_t n)
+    {
+        bytes_.insert(bytes_.end(), p, p + n);
+    }
+    /** Make room for @p n more bytes up front, so a bulk encode
+     *  never regrows (and recopies) the buffer. */
+    void reserve(std::size_t n) { bytes_.reserve(bytes_.size() + n); }
+
     const std::vector<std::uint8_t> &bytes() const { return bytes_; }
     std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
@@ -186,6 +199,18 @@ class WireWriter
     void scalars(const Scalar *p, Index n);
 
     std::vector<std::uint8_t> bytes_;
+};
+
+/**
+ * Where one operand's elements lie in a payload: @p rows × @p cols
+ * little-endian f64 values, row-major, starting at @p data (a vector
+ * is n × 1). Borrowed: valid while the payload bytes live.
+ */
+struct WireOperand
+{
+    const std::uint8_t *data = nullptr;
+    Index rows = 0;
+    Index cols = 0;
 };
 
 /**
@@ -216,15 +241,17 @@ class WireReader
     bool str(std::string *out);
     bool vec(Vec<Scalar> *out);
     bool dense(Dense<Scalar> *out);
+    /** vec()/dense() without the copy: every check, then record
+     *  where the elements lie and step past them. */
+    bool vecAt(WireOperand *out);
+    bool denseAt(WireOperand *out);
 
     /** Bytes not yet consumed. */
     std::size_t remaining() const { return size_ - pos_; }
+    /** Bytes consumed so far. */
+    std::size_t offset() const { return pos_; }
 
   private:
-    /** @p n f64 elements into @p out, in one bulk copy.
-     *  @pre the caller checked n ≤ remaining() / 8. */
-    void scalars(Scalar *out, std::uint64_t n);
-
     const std::uint8_t *data_;
     std::size_t size_;
     std::size_t pos_ = 0;
@@ -240,13 +267,25 @@ struct Frame
 /**
  * Incremental frame splitter for a TCP byte stream.
  *
- * feed() appends raw bytes; next() yields complete frames in order.
- * A frame-level violation (bad magic/version, payload length over
- * the cap) poisons the decoder permanently — the stream cannot be
- * re-synchronized — and next() keeps returning Malformed with the
- * same message. Unknown frame *types* are NOT a framing error: the
- * length field still delimits them, so they are delivered for the
- * application layer to reject.
+ * receive() reads the socket straight into the decoder (feed()
+ * appends bytes already read elsewhere); next() yields complete
+ * frames in order. A frame-level violation (bad magic/version,
+ * payload length over the cap) poisons the decoder permanently — the
+ * stream cannot be re-synchronized — and next() keeps returning
+ * Malformed with the same message. Unknown frame *types* are NOT a
+ * framing error: the length field still delimits them, so they are
+ * delivered for the application layer to reject.
+ *
+ * Memory: bytes land in a staging area of kStagingBytes, allocated
+ * on demand and shrunk to its unconsumed bytes whenever receive()
+ * finds the socket drained, so an idle connection holds nothing
+ * beyond them. Once a checked header announces a frame that is not
+ * fully buffered, the rest of its payload is received straight into
+ * that frame's own buffer, which next() then moves out — a frame
+ * larger than the staging area crosses user space without a copy.
+ * That buffer grows with the bytes that have arrived (never to the
+ * announced length up front), so a peer that announces a large frame
+ * and stalls pins memory for what it sent, not for what it promised.
  */
 class FrameDecoder
 {
@@ -258,6 +297,9 @@ class FrameDecoder
         Malformed, ///< frame-level violation; decoder is poisoned
     };
 
+    /** Size of the staging area receive() reads into. */
+    static constexpr std::size_t kStagingBytes = 64u << 10;
+
     explicit FrameDecoder(
         std::uint32_t max_payload = kDefaultMaxPayloadBytes)
         : max_payload_(max_payload)
@@ -268,6 +310,15 @@ class FrameDecoder
     void feed(const std::uint8_t *data, std::size_t len);
 
     /**
+     * One recv(2) from @p fd into the decoder: into the frame being
+     * received in place when there is one, else into the staging
+     * area. @return recv's result — bytes read, 0 at end of stream,
+     * −1 with errno set (EAGAIN included). A poisoned decoder still
+     * reads, and drops what it reads.
+     */
+    ssize_t receive(int fd);
+
+    /**
      * Extract the next complete frame into @p out.
      * On Malformed, @p error (optional) receives the reason.
      */
@@ -276,12 +327,100 @@ class FrameDecoder
     /** True once a frame-level violation was seen. */
     bool poisoned() const { return poisoned_; }
 
+    /** Bytes of memory held for stream data right now: the staging
+     *  area plus the in-place frame's buffer. */
+    std::size_t heldBytes() const
+    {
+        return stage_cap_ + partial_.payload.capacity();
+    }
+
   private:
+    /** Check the header at the front of the staging area. @return
+     *  false (and poison) on a frame-level violation, true with
+     *  @p out set otherwise. @pre kFrameHeaderBytes are staged. */
+    bool checkHeader(FrameHeader *out);
+    /** When the staged bytes begin with a checked header whose frame
+     *  is not complete, move them into partial_ so the rest is
+     *  received in place (@p fd, or −1, tells what else is queued). */
+    void startPartial(int fd);
+    /** Grow partial_'s buffer for the bytes that have arrived, with
+     *  room for @p extra in hand or what waits on @p fd (−1: none);
+     *  never past the announced length. */
+    void growPartial(std::size_t extra, int fd);
+    /** Room for @p n more staged bytes (compacting, then growing). */
+    void stageRoom(std::size_t n);
+    /** Shrink the staging area to its unconsumed bytes. */
+    void fitStage();
+    void poison(std::string reason);
+
     std::uint32_t max_payload_;
-    std::vector<std::uint8_t> buf_;
-    std::size_t consumed_ = 0; ///< bytes of buf_ already handed out
+    std::unique_ptr<std::uint8_t[]> stage_;
+    std::size_t stage_cap_ = 0;
+    std::size_t begin_ = 0; ///< first unconsumed staged byte
+    std::size_t end_ = 0;   ///< one past the last staged byte
+    /** The frame being received in place (while partial_active_):
+     *  the first partial_have_ bytes of its payload have arrived. */
+    Frame partial_;
+    std::size_t partial_have_ = 0;
+    bool partial_active_ = false;
     bool poisoned_ = false;
     std::string poison_reason_;
+};
+
+/** Payload bytes shared by the frames (and state) that send them. */
+using SharedBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
+
+/**
+ * One frame on its way out: an owned @p head (the header, plus an
+ * envelope, or a whole small frame) followed by @p body from
+ * @p bodyOffset on. The body is shared, not copied: a FORWARD sends
+ * the client's own payload buffer, and a resubmit sends it again.
+ */
+struct OutFrame
+{
+    std::vector<std::uint8_t> head;
+    SharedBytes body;
+    std::size_t bodyOffset = 0;
+
+    OutFrame() = default;
+    /** A frame that is all head (control frames, encoded replies). */
+    OutFrame(std::vector<std::uint8_t> bytes) : head(std::move(bytes))
+    {
+    }
+
+    std::size_t size() const
+    {
+        return head.size() + (body ? body->size() - bodyOffset : 0);
+    }
+};
+
+/**
+ * A connection's output: frames queued whole and written by
+ * sendmsg() gather — never concatenated, never compacted.
+ */
+class OutQueue
+{
+  public:
+    void push(OutFrame frame);
+
+    /** Bytes queued and not yet accepted by the kernel. */
+    std::size_t queuedBytes() const { return queued_; }
+    bool empty() const { return queued_ == 0; }
+
+    /**
+     * Write to @p fd until it would block or the queue is empty.
+     * @return bytes written (≥ 0), or −1 with errno set when the
+     * socket failed.
+     */
+    ssize_t flush(int fd);
+
+    void clear();
+
+  private:
+    std::deque<OutFrame> frames_;
+    /** Bytes of frames_.front() already written. */
+    std::size_t front_sent_ = 0;
+    std::size_t queued_ = 0;
 };
 
 /**
@@ -317,6 +456,24 @@ struct WireResponse
 std::vector<std::uint8_t> buildFrame(FrameType type, std::uint64_t tag,
                                      const std::vector<std::uint8_t>
                                          &payload);
+
+/**
+ * A @p type frame (the gateway's RESPONSE/ERROR relay) around a
+ * payload that is already encoded: a fresh header as the head, the
+ * payload buffer itself, moved, as the body.
+ */
+OutFrame relayFrame(FrameType type, std::uint64_t tag,
+                    std::vector<std::uint8_t> payload);
+
+/**
+ * buildForwardFrame as header + envelope (the head) followed by the
+ * SUBMIT payload bytes of @p payload from @p offset on (the shared
+ * body): a relayed FORWARD strips its old envelope by offset, and a
+ * resubmit sends the same buffer again — no payload byte is copied.
+ */
+OutFrame forwardFrame(std::uint64_t tag, Digest digest,
+                      const SharedBytes &payload, std::size_t offset,
+                      const TraceContext *ctx = nullptr);
 
 /** SUBMIT carrying @p req (engine, kind, w, flags, operands); the
  *  flags byte packs crossCheck, the execution mode, and recordTrace
@@ -394,9 +551,47 @@ std::vector<std::uint8_t> buildErrorFrame(std::uint64_t tag,
  */
 std::vector<std::uint8_t> encodeSubmit(const ServeRequest &req);
 
-/** @return true and fill @p out, or false with @p error set. */
+/** @return true and fill @p out, or false with @p error set.
+ *  checkSubmit then materialiseSubmit. */
 bool decodeSubmit(const std::vector<std::uint8_t> &payload,
                   ServeRequest *out, std::string *error);
+
+/**
+ * A SUBMIT payload after the checking pass: every field decoded and
+ * every operand located in place, nothing copied. Borrowed: valid
+ * while the payload bytes live.
+ */
+struct SubmitView
+{
+    std::string engine;
+    ProblemKind kind = ProblemKind::MatVec;
+    Index w = 0;
+    bool crossCheck = false;
+    ExecMode mode = ExecMode::Simulate;
+    TraceContext traceContext;
+    /** A always; x and b for MatVec; bmat and e for MatMul; b for
+     *  TriSolve. The others stay empty. */
+    WireOperand a, x, b, bmat, e;
+};
+
+/**
+ * The one SUBMIT checking pass: every check decodeSubmit applies,
+ * with the same error text, without copying an operand. @return
+ * true and fill @p out, or false with @p error set.
+ */
+bool checkSubmit(const std::uint8_t *data, std::size_t size,
+                 SubmitView *out, std::string *error);
+
+/** The request a checked view describes: its operands copied into
+ *  fresh Dense/Vec storage (the one decode copy). */
+void materialiseSubmit(const SubmitView &view, ServeRequest *out);
+
+/**
+ * planDigest of the request @p view describes, hashed over the
+ * operands' wire bytes in place: bit-equal to
+ * planDigest(req.engine, req.plan) of the materialised request.
+ */
+Digest submitDigest(const SubmitView &view);
 
 /**
  * FORWARD payload: u64 plan digest, u8 ctx-present byte, optional
@@ -408,6 +603,16 @@ bool decodeSubmit(const std::vector<std::uint8_t> &payload,
 bool decodeForward(const std::vector<std::uint8_t> &payload,
                    Digest *digest, ServeRequest *out,
                    std::string *error);
+
+/**
+ * decodeForward's checking pass (checkSubmit on the embedded
+ * payload; the FORWARD-level context lands in out->traceContext).
+ * @p submit_offset receives where the embedded SUBMIT payload
+ * starts, i.e. the envelope length.
+ */
+bool checkForward(const std::uint8_t *data, std::size_t size,
+                  Digest *digest, SubmitView *out,
+                  std::size_t *submit_offset, std::string *error);
 
 /** Append a TraceContext block (kTraceContextBytes) to @p w. */
 void encodeTraceContext(WireWriter &w, const TraceContext &ctx);

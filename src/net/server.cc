@@ -436,31 +436,15 @@ NetServer::closeConnLocked(std::uint64_t conn_id)
     forgetTags(conn_id);
 }
 
-void
-NetServer::enqueueOutputLocked(Connection &conn,
-                               const std::vector<std::uint8_t> &bytes)
-{
-    conn.outbuf.insert(conn.outbuf.end(), bytes.begin(), bytes.end());
-}
-
 bool
-NetServer::enqueueOutput(std::uint64_t conn_id,
-                         std::vector<std::uint8_t> bytes)
+NetServer::enqueueOutput(std::uint64_t conn_id, OutFrame frame)
 {
     {
         std::lock_guard<std::mutex> lock(conns_mutex_);
         auto it = conns_.find(conn_id);
         if (it == conns_.end())
             return false; // connection is gone; drop the frame
-        Connection &conn = *it->second;
-        if (conn.outbuf.empty()) {
-            // Common case (client keeping up): adopt the frame
-            // buffer instead of copying it under the lock.
-            conn.outbuf = std::move(bytes);
-            conn.outoff = 0;
-        } else {
-            enqueueOutputLocked(conn, bytes);
-        }
+        it->second->out.push(std::move(frame));
         // The IO thread owns the event loop; ask it to pick up the
         // new write interest when the wake lands.
         interest_dirty_.push_back(conn_id);
@@ -473,7 +457,7 @@ void
 NetServer::updateInterestLocked(std::uint64_t conn_id,
                                 Connection &conn)
 {
-    const std::size_t queued = conn.outbuf.size() - conn.outoff;
+    const std::size_t queued = conn.out.queuedBytes();
     std::uint32_t mask = 0;
     // Backpressure: a client that is not reading its responses
     // stops being read from until its queued output drains.
@@ -491,25 +475,11 @@ NetServer::updateInterestLocked(std::uint64_t conn_id,
 bool
 NetServer::flushLocked(Connection &conn)
 {
-    while (conn.outoff < conn.outbuf.size()) {
-        ssize_t n = ::send(conn.fd, conn.outbuf.data() + conn.outoff,
-                           conn.outbuf.size() - conn.outoff,
-                           MSG_NOSIGNAL);
-        if (n > 0) {
-            conn.outoff += static_cast<std::size_t>(n);
-            if (inst_.bytesOut)
-                inst_.bytesOut->add(static_cast<std::uint64_t>(n));
-            continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            return true;
-        if (n < 0 && errno == EINTR)
-            continue;
+    const ssize_t n = conn.out.flush(conn.fd);
+    if (n < 0)
         return false; // peer is gone
-    }
-    // Fully flushed: reclaim the buffer.
-    conn.outbuf.clear();
-    conn.outoff = 0;
+    if (n > 0 && inst_.bytesOut)
+        inst_.bytesOut->add(static_cast<std::uint64_t>(n));
     return true;
 }
 
@@ -559,18 +529,16 @@ NetServer::acceptReady()
 bool
 NetServer::readReady(std::uint64_t conn_id, Connection &conn)
 {
-    std::uint8_t buf[65536];
     for (;;) {
         {
             std::lock_guard<std::mutex> lock(conns_mutex_);
             if (conn.closing)
                 return true; // a malformed frame ended reading
         }
-        ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
+        ssize_t n = conn.decoder.receive(conn.fd);
         if (n > 0) {
             if (inst_.bytesIn)
                 inst_.bytesIn->add(static_cast<std::uint64_t>(n));
-            conn.decoder.feed(buf, static_cast<std::size_t>(n));
             Frame frame;
             std::string err;
             for (;;) {
@@ -593,7 +561,7 @@ NetServer::readReady(std::uint64_t conn_id, Connection &conn)
                 SAP_LOG_WARN("conn ", conn_id,
                              ": unrecoverable frame error: ", err);
                 std::lock_guard<std::mutex> lock(conns_mutex_);
-                enqueueOutputLocked(conn, buildErrorFrame(0, err));
+                conn.out.push(buildErrorFrame(0, err));
                 conn.closing = true;
                 return true;
             }
@@ -634,7 +602,7 @@ NetServer::handleFrame(std::uint64_t conn_id, Connection &conn,
             inst_.protocolErrors->add();
         SAP_LOG_DEBUG("conn ", conn_id, ": protocol error: ", message);
         std::lock_guard<std::mutex> lock(conns_mutex_);
-        enqueueOutputLocked(conn, buildErrorFrame(tag, message));
+        conn.out.push(buildErrorFrame(tag, message));
     };
 
     switch (frame.header.type) {
@@ -692,7 +660,7 @@ NetServer::handleFrame(std::uint64_t conn_id, Connection &conn,
         std::vector<std::uint8_t> echo =
             buildFrame(FrameType::Ping, tag, frame.payload);
         std::lock_guard<std::mutex> lock(conns_mutex_);
-        enqueueOutputLocked(conn, echo);
+        conn.out.push(std::move(echo));
         return;
     }
     case static_cast<std::uint16_t>(FrameType::Stats): {
@@ -808,8 +776,7 @@ NetServer::ioLoop()
                     continue;
                 }
                 Connection &c = *cit->second;
-                if (c.outoff >= c.outbuf.size() &&
-                    !hasPendingTags(*it)) {
+                if (c.out.empty() && !hasPendingTags(*it)) {
                     std::uint64_t id = *it;
                     ++it;
                     closeConnLocked(id); // erases from closing_conns_
@@ -820,8 +787,7 @@ NetServer::ioLoop()
 
             if (exiting)
                 for (const auto &entry : conns_)
-                    any_output |= entry.second->outoff <
-                                  entry.second->outbuf.size();
+                    any_output |= !entry.second->out.empty();
         }
 
         if (exiting) {

@@ -11,9 +11,10 @@
  * wakeup, so ten thousand mostly-idle connections cost nothing per
  * event. Decoded SUBMIT frames go straight into
  * Cluster::submitToQueue(), and a writer thread drains the shared
- * CompletionQueue into per-connection output buffers. The shards
+ * CompletionQueue into per-connection output queues (each RESPONSE
+ * encoded in one pass, queued whole, written by sendmsg). The shards
  * therefore never block on a client: a slow reader only grows its
- * own buffer while every other connection keeps streaming.
+ * own queue while every other connection keeps streaming.
  *
  *          clients ──TCP──▶ IO thread ──submitToQueue──▶ Cluster
  *             ▲                 │ flush                      │
@@ -214,11 +215,10 @@ class NetServer
     {
         int fd = -1;
         FrameDecoder decoder;
-        /** Pending output; flushed by the IO thread as POLLOUT
-         *  allows. offset = bytes of outbuf already sent. */
-        std::vector<std::uint8_t> outbuf;
-        std::size_t outoff = 0;
-        /** Stop reading; close once outbuf is flushed. */
+        /** Pending output; flushed by the IO thread as writability
+         *  allows. */
+        OutQueue out;
+        /** Stop reading; close once out is flushed. */
         bool closing = false;
         /** Event-loop interest mask the IO thread last installed
          *  (EventLoop::kRead|kWrite); updated by
@@ -256,15 +256,11 @@ class NetServer
     bool readReady(std::uint64_t conn_id, Connection &conn);
     void handleFrame(std::uint64_t conn_id, Connection &conn,
                      const Frame &frame);
-    /** Append an encoded frame to the connection's output buffer
-     *  (under conns_mutex_) and wake the IO thread.
+    /** Queue an encoded frame on the connection (under
+     *  conns_mutex_) and wake the IO thread.
      *  @return false when the connection is gone (frame dropped). */
-    bool enqueueOutput(std::uint64_t conn_id,
-                       std::vector<std::uint8_t> bytes);
-    /** Same, with the lock already held. */
-    void enqueueOutputLocked(Connection &conn,
-                             const std::vector<std::uint8_t> &bytes);
-    /** Flush as much of conn.outbuf as the socket accepts.
+    bool enqueueOutput(std::uint64_t conn_id, OutFrame frame);
+    /** Flush as much of conn.out as the socket accepts.
      *  @return false when the socket died. */
     bool flushLocked(Connection &conn);
     void closeConnLocked(std::uint64_t conn_id);

@@ -112,8 +112,16 @@ shapeSeed(Index rows, Index cols)
 Digest
 fingerprintDense(const Dense<Scalar> &a)
 {
-    return hashBytes(a.raw(), a.data().size() * sizeof(Scalar),
-                     shapeSeed(a.rows(), a.cols()));
+    return fingerprintDenseBytes(a.raw(), a.rows(), a.cols());
+}
+
+Digest
+fingerprintDenseBytes(const void *elems, Index rows, Index cols)
+{
+    return hashBytes(elems,
+                     static_cast<std::size_t>(rows * cols) *
+                         sizeof(Scalar),
+                     shapeSeed(rows, cols));
 }
 
 Digest

@@ -37,6 +37,14 @@ using Digest = std::uint64_t;
 /** Hash of the raw element bytes of @p a, seeded with its shape. */
 Digest fingerprintDense(const Dense<Scalar> &a);
 
+/**
+ * fingerprintDense over @p rows × @p cols Scalars stored row-major at
+ * @p elems, wherever they live — a wire payload's operand bytes
+ * hash in place, bit-equal to fingerprintDense of a Dense holding
+ * the same elements.
+ */
+Digest fingerprintDenseBytes(const void *elems, Index rows, Index cols);
+
 /** Hash of the raw element bytes of @p v, seeded with its length. */
 Digest fingerprintVec(const Vec<Scalar> &v);
 

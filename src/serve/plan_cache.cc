@@ -11,12 +11,21 @@ planDigest(const std::string &engine_name, const EnginePlan &plan,
     auto hashOf = [&hash](const Dense<Scalar> &m) {
         return hash ? hash(m) : fingerprintDense(m);
     };
+    return combinePlanDigest(
+        engine_name, plan.kind, plan.w, hashOf(plan.a),
+        plan.kind == ProblemKind::MatMul ? hashOf(plan.bmat) : 0);
+}
+
+Digest
+combinePlanDigest(const std::string &engine_name, ProblemKind kind,
+                  Index w, Digest a_digest, Digest bmat_digest)
+{
     Digest d = fingerprintString(engine_name);
-    d = combineDigests(d, static_cast<Digest>(plan.kind));
-    d = combineDigests(d, static_cast<Digest>(plan.w));
-    d = combineDigests(d, hashOf(plan.a));
-    if (plan.kind == ProblemKind::MatMul)
-        d = combineDigests(d, hashOf(plan.bmat));
+    d = combineDigests(d, static_cast<Digest>(kind));
+    d = combineDigests(d, static_cast<Digest>(w));
+    d = combineDigests(d, a_digest);
+    if (kind == ProblemKind::MatMul)
+        d = combineDigests(d, bmat_digest);
     return d;
 }
 

@@ -70,6 +70,17 @@ Digest planDigest(const std::string &engine_name,
                   const DenseHashFn &hash = nullptr);
 
 /**
+ * planDigest from its parts: @p a_digest (and, for MatMul,
+ * @p bmat_digest) are the bound matrices' dense hashes. The one
+ * definition of how the parts combine, shared by planDigest and by
+ * callers that hash operands in place (net/protocol.hh
+ * submitDigest).
+ */
+Digest combinePlanDigest(const std::string &engine_name,
+                         ProblemKind kind, Index w, Digest a_digest,
+                         Digest bmat_digest);
+
+/**
  * LRU cache of prepared plans keyed by matrix content.
  *
  * Thread-safety: all public members are safe to call concurrently;

@@ -6,11 +6,14 @@
  * and after absorbing a configured number of them abruptly closes
  * both its connection and its listener — from the gateway's side, a
  * backend that accepted work and died without acknowledging any of
- * it. kill_after = 0 means "never die".
+ * it. kill_after = 0 means "never die". Every FORWARD it absorbs is
+ * recorded (embedded SUBMIT payload bytes and trace attempt), so a
+ * test can compare what each delivery attempt carried.
  *
  * Used by the gateway chaos suite (test_gateway.cc) and the
  * cross-tier trace-propagation suite (test_trace_propagation.cc);
- * both run under TSan in CI, so all cross-thread state is atomics.
+ * both run under TSan in CI, so cross-thread state is atomics or
+ * sits behind a mutex.
  */
 
 #ifndef SAP_TESTS_FLAKY_BACKEND_HH
@@ -19,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +38,15 @@ namespace sap {
 class FlakyBackend
 {
   public:
+    /** One absorbed FORWARD. */
+    struct Absorbed
+    {
+        /** The embedded SUBMIT payload, envelope stripped. */
+        std::vector<std::uint8_t> submitPayload;
+        /** The envelope's trace-context attempt (0 without one). */
+        int attempt = 0;
+    };
+
     explicit FlakyBackend(int kill_after) : kill_after_(kill_after)
     {
         // abort() on setup failure: gtest fatal assertions are not
@@ -76,6 +89,13 @@ class FlakyBackend
     int forwardsAbsorbed() const { return forwards_.load(); }
     bool dead() const { return dead_.load(); }
 
+    std::vector<Absorbed>
+    absorbed() const
+    {
+        std::lock_guard<std::mutex> lock(absorbed_mutex_);
+        return absorbed_;
+    }
+
   private:
     void
     serve()
@@ -116,6 +136,7 @@ class FlakyBackend
             } else if (frame.header.type ==
                        static_cast<std::uint16_t>(
                            FrameType::Forward)) {
+                record(frame.payload);
                 int seen = forwards_.fetch_add(1) + 1;
                 if (kill_after_ > 0 && seen >= kill_after_) {
                     // Die taking the listener with us: reconnect
@@ -131,6 +152,25 @@ class FlakyBackend
         }
     }
 
+    void
+    record(const std::vector<std::uint8_t> &payload)
+    {
+        Digest digest = 0;
+        SubmitView view;
+        std::size_t offset = 0;
+        std::string err;
+        Absorbed a;
+        if (checkForward(payload.data(), payload.size(), &digest, &view,
+                         &offset, &err)) {
+            a.submitPayload.assign(
+                payload.begin() + static_cast<std::ptrdiff_t>(offset),
+                payload.end());
+            a.attempt = view.traceContext.attempt;
+        }
+        std::lock_guard<std::mutex> lock(absorbed_mutex_);
+        absorbed_.push_back(std::move(a));
+    }
+
     int kill_after_;
     int listen_fd_ = -1;
     std::uint16_t port_ = 0;
@@ -138,6 +178,8 @@ class FlakyBackend
     std::atomic<int> forwards_{0};
     std::atomic<bool> stop_{false};
     std::atomic<bool> dead_{false};
+    mutable std::mutex absorbed_mutex_;
+    std::vector<Absorbed> absorbed_;
 };
 
 } // namespace sap

@@ -485,6 +485,44 @@ TEST(Gateway, FailoverMidStreamLosesNoClientAndNoTag)
     EXPECT_TRUE(NetClient::matchesOracle(req, r.response));
 }
 
+TEST(Gateway, ResubmittedForwardCarriesTheSamePayloadBytes)
+{
+    // Both backends absorb one FORWARD and die. The request goes to
+    // one, is resubmitted to the other on failover, and then has
+    // nowhere left to go (a clean ERROR). Each attempt must carry the
+    // client's SUBMIT payload byte for byte behind its own envelope:
+    // the resubmit re-sends the buffer the gateway kept, it does not
+    // re-encode or copy it (NetOutQueue.ForwardFrameSharesThePayload-
+    // Buffer pins the sharing itself).
+    FlakyBackend first(/*kill_after=*/1), second(/*kill_after=*/1);
+    Gateway::Options opts =
+        gatewayOptions({{"127.0.0.1", first.port(), 0},
+                        {"127.0.0.1", second.port(), 0}});
+    opts.trace.enabled = true; // envelopes carry the attempt counter
+    opts.trace.sampleEvery = 1;
+    Gateway gw(opts);
+    ASSERT_TRUE(gw.start()) << gw.error();
+    ASSERT_TRUE(waitUntil([&] { return gw.routableBackends() == 2; }));
+
+    NetClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", gw.port()));
+    const ServeRequest req = matVecRequest(4242, 64, 8);
+    NetClient::Result r = client.submit(req);
+    ASSERT_TRUE(r.transportOk) << r.transportError;
+    EXPECT_FALSE(r.response.ok);
+
+    std::vector<FlakyBackend::Absorbed> got = first.absorbed();
+    for (FlakyBackend::Absorbed &a : second.absorbed())
+        got.push_back(std::move(a));
+    ASSERT_EQ(got.size(), 2u);
+    const std::vector<std::uint8_t> want = encodeSubmit(req);
+    EXPECT_TRUE(got[0].submitPayload == want);
+    EXPECT_TRUE(got[1].submitPayload == want);
+    EXPECT_EQ(got[0].attempt + got[1].attempt, 1)
+        << "one first delivery, one resubmit";
+    EXPECT_GE(gw.stats().resubmits, 1u);
+}
+
 TEST(Gateway, LastBackendDyingFailsInflightCleanly)
 {
     // The flaky backend is the ONLY backend: when it dies holding

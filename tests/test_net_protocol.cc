@@ -12,9 +12,14 @@
 #include <cstring>
 #include <limits>
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "base/random.hh"
 #include "mat/generate.hh"
 #include "net/protocol.hh"
+#include "serve/plan_cache.hh"
 
 namespace sap {
 namespace {
@@ -1072,6 +1077,260 @@ TEST(NetProtocol, BulkSubmitEveryPrefixFailsCleanly)
         ASSERT_FALSE(decodeSubmit(cut, &back, &err)) << "len=" << len;
         ASSERT_FALSE(err.empty()) << "len=" << len;
     }
+}
+
+
+//---------------------------------------------------------------------
+// The in-place SUBMIT pass and the gateway's digest
+//---------------------------------------------------------------------
+
+/** sameBits, also for the operands a problem kind leaves empty
+ *  (whose storage may be null). */
+template <typename M>
+bool
+sameOperand(const M &a, const M &b)
+{
+    return a.data().empty() ? b.data().empty() : sameBits(a, b);
+}
+
+/** The bytes an OutFrame puts on the wire, in order. */
+std::vector<std::uint8_t>
+flatten(const OutFrame &f)
+{
+    std::vector<std::uint8_t> bytes = f.head;
+    if (f.body)
+        bytes.insert(bytes.end(),
+                     f.body->begin() +
+                         static_cast<std::ptrdiff_t>(f.bodyOffset),
+                     f.body->end());
+    return bytes;
+}
+
+/** Real-valued requests of every kind, non-square where the kind
+ *  allows it. */
+std::vector<ServeRequest>
+digestParityRequests()
+{
+    std::vector<ServeRequest> reqs;
+    ServeRequest mv;
+    mv.engine = "linear";
+    mv.plan = EnginePlan::matVec(randomRealDense(7, 5, 11),
+                                 randomRealVec(5, 12),
+                                 randomRealVec(7, 13), 3);
+    mv.plan.mode = ExecMode::Fast;
+    reqs.push_back(mv);
+    ServeRequest mm;
+    mm.engine = "hex";
+    mm.plan = EnginePlan::matMul(randomRealDense(6, 4, 21),
+                                 randomRealDense(4, 3, 22),
+                                 randomRealDense(6, 3, 23), 2);
+    mm.crossCheck = true;
+    reqs.push_back(mm);
+    ServeRequest tri;
+    tri.engine = "tri";
+    tri.plan = EnginePlan::triSolve(randomLowerTriangular(9, 31),
+                                    randomRealVec(9, 32), 4);
+    tri.plan.mode = ExecMode::Validate;
+    reqs.push_back(tri);
+    ServeRequest wide;
+    wide.engine = "mesh";
+    wide.plan = EnginePlan::matMul(randomRealDense(2, 9, 41),
+                                   randomRealDense(9, 5, 42),
+                                   randomRealDense(2, 5, 43), 3);
+    reqs.push_back(wide);
+    return reqs;
+}
+
+TEST(NetProtocol, GatewayDigestEqualsPlanDigest)
+{
+    for (ServeRequest req : digestParityRequests()) {
+        for (bool traced : {false, true}) {
+            req.traceContext =
+                traced ? sampleContext() : TraceContext();
+            const std::vector<std::uint8_t> payload = encodeSubmit(req);
+            ServeRequest decoded;
+            std::string err;
+            ASSERT_TRUE(decodeSubmit(payload, &decoded, &err)) << err;
+            const Digest want =
+                planDigest(decoded.engine, decoded.plan);
+            ASSERT_EQ(want, planDigest(req.engine, req.plan));
+
+            // A SUBMIT at the edge gateway.
+            SubmitView view;
+            ASSERT_TRUE(checkSubmit(payload.data(), payload.size(),
+                                    &view, &err))
+                << err;
+            EXPECT_EQ(submitDigest(view), want)
+                << req.engine << " traced=" << traced;
+            EXPECT_EQ(view.traceContext.valid(), traced);
+
+            // The FORWARD that gateway sends, relayed by a second
+            // gateway: its envelope is stripped by offset and the
+            // embedded SUBMIT hashes to the same digest.
+            TraceContext hop = sampleContext();
+            hop.attempt = 1;
+            const SharedBytes shared =
+                std::make_shared<const std::vector<std::uint8_t>>(
+                    payload);
+            const std::vector<std::uint8_t> fwd_frame = flatten(
+                forwardFrame(7, want, shared, 0, traced ? &hop : nullptr));
+            const std::vector<std::uint8_t> fwd(
+                fwd_frame.begin() + kFrameHeaderBytes, fwd_frame.end());
+            Digest carried = 0;
+            std::size_t offset = 0;
+            SubmitView relayed;
+            ASSERT_TRUE(checkForward(fwd.data(), fwd.size(), &carried,
+                                     &relayed, &offset, &err))
+                << err;
+            EXPECT_EQ(carried, want);
+            EXPECT_EQ(submitDigest(relayed), want);
+            EXPECT_EQ(offset, 9 + (traced ? kTraceContextBytes : 0));
+            EXPECT_EQ(relayed.traceContext.attempt, traced ? 1 : 0);
+
+            // And the second hop's FORWARD (old envelope skipped by
+            // offset) decodes at a backend to the same request.
+            const SharedBytes fwd_shared =
+                std::make_shared<const std::vector<std::uint8_t>>(fwd);
+            const std::vector<std::uint8_t> second =
+                flatten(forwardFrame(8, carried, fwd_shared, offset));
+            EXPECT_EQ(second,
+                      buildForwardFrame(8, carried, payload, nullptr));
+            Digest at_backend = 0;
+            ServeRequest served;
+            ASSERT_TRUE(decodeForward(
+                std::vector<std::uint8_t>(
+                    second.begin() + kFrameHeaderBytes, second.end()),
+                &at_backend, &served, &err))
+                << err;
+            EXPECT_EQ(at_backend, want);
+            EXPECT_EQ(planDigest(served.engine, served.plan), want);
+            EXPECT_TRUE(sameOperand(served.plan.a, req.plan.a));
+            EXPECT_TRUE(sameOperand(served.plan.bmat, req.plan.bmat));
+        }
+    }
+}
+
+TEST(NetProtocol, CheckedViewMaterialisesTheDecodedRequest)
+{
+    for (const ServeRequest &req : digestParityRequests()) {
+        const std::vector<std::uint8_t> payload = encodeSubmit(req);
+        SubmitView view;
+        std::string err;
+        ASSERT_TRUE(
+            checkSubmit(payload.data(), payload.size(), &view, &err))
+            << err;
+        ServeRequest out;
+        materialiseSubmit(view, &out);
+        EXPECT_EQ(out.engine, req.engine);
+        EXPECT_EQ(out.plan.kind, req.plan.kind);
+        EXPECT_EQ(out.plan.w, req.plan.w);
+        EXPECT_EQ(out.plan.mode, req.plan.mode);
+        EXPECT_EQ(out.crossCheck, req.crossCheck);
+        EXPECT_TRUE(sameOperand(out.plan.a, req.plan.a));
+        EXPECT_TRUE(sameOperand(out.plan.x, req.plan.x));
+        EXPECT_TRUE(sameOperand(out.plan.b, req.plan.b));
+        EXPECT_TRUE(sameOperand(out.plan.bmat, req.plan.bmat));
+        EXPECT_TRUE(sameOperand(out.plan.e, req.plan.e));
+    }
+}
+
+//---------------------------------------------------------------------
+// Frames as header + shared payload
+//---------------------------------------------------------------------
+
+TEST(NetOutQueue, ForwardFrameSharesThePayloadBuffer)
+{
+    // A FORWARD, and every resubmit of it, sends the client's own
+    // payload buffer: one buffer, more owners, no second copy.
+    const std::vector<std::uint8_t> payload = goodSubmitPayload();
+    const SharedBytes shared =
+        std::make_shared<const std::vector<std::uint8_t>>(payload);
+    const TraceContext ctx = sampleContext();
+    TraceContext again = ctx;
+    again.attempt = static_cast<std::uint8_t>(ctx.attempt + 1);
+    OutFrame first = forwardFrame(3, 0xabcdull, shared, 0, &ctx);
+    OutFrame resubmit = forwardFrame(4, 0xabcdull, shared, 0, &again);
+    EXPECT_EQ(first.body.get(), shared.get());
+    EXPECT_EQ(resubmit.body.get(), shared.get());
+    EXPECT_EQ(shared.use_count(), 3);
+    EXPECT_EQ(first.head.size(),
+              kFrameHeaderBytes + 9 + kTraceContextBytes);
+    EXPECT_EQ(flatten(first),
+              buildForwardFrame(3, 0xabcdull, payload, &ctx));
+    EXPECT_EQ(flatten(resubmit),
+              buildForwardFrame(4, 0xabcdull, payload, &again));
+}
+
+TEST(NetOutQueue, RelayFrameMovesThePayloadBuffer)
+{
+    std::vector<std::uint8_t> payload = encodeError("backend said no");
+    const std::vector<std::uint8_t> want =
+        buildFrame(FrameType::Error, 9, payload);
+    const std::uint8_t *bytes = payload.data();
+    OutFrame relay = relayFrame(FrameType::Error, 9, std::move(payload));
+    EXPECT_EQ(relay.head.size(), kFrameHeaderBytes);
+    ASSERT_TRUE(relay.body);
+    EXPECT_EQ(relay.body->data(), bytes); // moved, not copied
+    EXPECT_EQ(flatten(relay), want);
+}
+
+TEST(NetOutQueue, PartialWritesKeepTheQueuedCountExact)
+{
+    // A small send buffer forces many partial sendmsg() calls that
+    // end inside heads, inside the shared body, and between frames.
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    int sndbuf = 4096;
+    ::setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
+    ::fcntl(sv[0], F_SETFL, ::fcntl(sv[0], F_GETFL) | O_NONBLOCK);
+    ::fcntl(sv[1], F_SETFL, ::fcntl(sv[1], F_GETFL) | O_NONBLOCK);
+
+    ServeRequest req;
+    req.engine = "linear";
+    req.plan = EnginePlan::matVec(randomRealDense(48, 48, 5),
+                                  randomRealVec(48, 6),
+                                  randomRealVec(48, 7), 8);
+    const SharedBytes payload =
+        std::make_shared<const std::vector<std::uint8_t>>(
+            encodeSubmit(req));
+    OutQueue q;
+    std::vector<std::uint8_t> expected;
+    auto push = [&](OutFrame f) {
+        const std::vector<std::uint8_t> bytes = flatten(f);
+        expected.insert(expected.end(), bytes.begin(), bytes.end());
+        q.push(std::move(f));
+    };
+    push(forwardFrame(1, 77, payload, 0));
+    push(buildPingFrame(2));
+    push(forwardFrame(3, 78, payload, 0, nullptr));
+    push(buildErrorFrame(4, "five"));
+    push(relayFrame(FrameType::Response, 5,
+                    std::vector<std::uint8_t>(3000, 0x5a)));
+    push(forwardFrame(6, 79, payload, 0));
+    ASSERT_EQ(q.queuedBytes(), expected.size());
+
+    std::vector<std::uint8_t> received;
+    std::size_t sent = 0;
+    int partial_writes = 0;
+    for (int spins = 0; received.size() < expected.size(); ++spins) {
+        ASSERT_LT(spins, 1000000) << "no progress";
+        const ssize_t n = q.flush(sv[0]);
+        ASSERT_GE(n, 0) << std::strerror(errno);
+        sent += static_cast<std::size_t>(n);
+        if (n > 0 && !q.empty())
+            ++partial_writes;
+        ASSERT_EQ(q.queuedBytes(), expected.size() - sent);
+        ASSERT_EQ(q.empty(), sent == expected.size());
+        std::uint8_t chunk[700];
+        const ssize_t got = ::recv(sv[1], chunk, sizeof(chunk), 0);
+        if (got > 0)
+            received.insert(received.end(), chunk, chunk + got);
+    }
+    EXPECT_EQ(received, expected);
+    EXPECT_GT(partial_writes, 10);
+    EXPECT_EQ(payload.use_count(), 1); // sent frames released it
+    ::close(sv[0]);
+    ::close(sv[1]);
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "base/heap.hh"
 #include "dbt/matmul_plan.hh"
 #include "dbt/matvec_plan.hh"
 #include "mat/generate.hh"
@@ -29,13 +30,17 @@ struct HostCost
 {
     double prepareUs = 0;
     double nsPerCycle = 0;
+    /** Heap held by one prepared plan, KiB; −1 without mallinfo2. */
+    double planKib = -1;
 };
 
 /**
  * Best of @p reps prepares and cycle-accurate runs of @p plan:
  * prepare time in µs, and Simulate time per simulated cycle
  * (stats.cycles) in ns — the same quantities the serving benchmark
- * reports as dbt.prepare_us and sim.host_ns_per_cycle.
+ * reports as dbt.prepare_us and sim.host_ns_per_cycle — plus the
+ * heap one prepared plan holds (what a plan cache entry costs
+ * beyond its operand copies).
  */
 HostCost
 hostCost(const SystolicEngine &engine, const EnginePlan &plan, int reps)
@@ -60,7 +65,12 @@ hostCost(const SystolicEngine &engine, const EnginePlan &plan, int reps)
         simulate_us = std::min(simulate_us, micros(t0));
         cycles = res.stats.cycles;
     }
-    return {prepare_us, simulate_us * 1e3 / static_cast<double>(cycles)};
+    prepared.reset();
+    const std::int64_t before = heapBytesInUse();
+    prepared = engine.prepare(plan);
+    const std::int64_t after = heapBytesInUse();
+    return {prepare_us, simulate_us * 1e3 / static_cast<double>(cycles),
+            before < 0 ? -1.0 : static_cast<double>(after - before) / 1024};
 }
 
 void
@@ -115,9 +125,11 @@ print()
                                                                : ts_cost,
                                  cost_reps);
         std::printf("            host cost at s=%lld w=%lld: prepare "
-                    "%.2f us, simulate %.1f ns/cycle (best of %d)\n",
+                    "%.2f us, simulate %.1f ns/cycle (best of %d), "
+                    "plan %.1f KiB\n",
                     (long long)cost_s, (long long)cost_w,
-                    cost.prepareUs, cost.nsPerCycle, cost_reps);
+                    cost.prepareUs, cost.nsPerCycle, cost_reps,
+                    cost.planKib);
 
         BenchJsonEntry e;
         e.name = "calibration";
@@ -133,6 +145,7 @@ print()
             {"useful_macs", static_cast<double>(r.stats.usefulMacs)},
             {"utilization", r.stats.utilization()},
             {"prepare_us", cost.prepareUs},
+            {"plan_kib", cost.planKib},
             {"host_ns_per_cycle", cost.nsPerCycle}};
         json.push_back(std::move(e));
     }

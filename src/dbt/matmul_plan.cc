@@ -1,6 +1,7 @@
 #include "dbt/matmul_plan.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "base/logging.hh"
 
@@ -60,6 +61,10 @@ MatMulPlan::MatMulPlan(const Dense<Scalar> &a, const Dense<Scalar> &b,
     const Index N = d.order();
     const Index K = d.blockCount();
     const std::size_t slots = static_cast<std::size_t>(N * (2 * w - 1));
+    // Routes and extractions hold 32-bit E, O and C indices.
+    SAP_ASSERT(std::max(N, d.n * d.m) <=
+                   std::numeric_limits<std::int32_t>::max(),
+               "problem too large for 32-bit routing indices");
 
     // Input routing: where the I-band value of position (i, j)
     // comes from (zero, an E element, or a fed-back O value). The
@@ -90,8 +95,8 @@ MatMulPlan::MatMulPlan(const Dense<Scalar> &a, const Dense<Scalar> &b,
                     Index ec = src.eCol * w + jl;
                     if (er < d.n && ec < d.m) {
                         rt.kind = InputRoute::Kind::FromE;
-                        rt.r = er;
-                        rt.c = ec;
+                        rt.r = static_cast<std::int32_t>(er);
+                        rt.c = static_cast<std::int32_t>(ec);
                     } else {
                         rt.kind = InputRoute::Kind::Zero;
                     }
@@ -102,8 +107,8 @@ MatMulPlan::MatMulPlan(const Dense<Scalar> &a, const Dense<Scalar> &b,
                         src.oRow, src.oPart, il, jl, w);
                     rt.kind = InputRoute::Kind::FromO;
                     rt.irregular = src.irregular;
-                    rt.r = oi;
-                    rt.c = oj;
+                    rt.r = static_cast<std::int32_t>(oi);
+                    rt.c = static_cast<std::int32_t>(oj);
                     // Feedback sources must themselves be O-band
                     // positions (checked here so run() can index
                     // directly).
@@ -136,14 +141,12 @@ MatMulPlan::MatMulPlan(const Dense<Scalar> &a, const Dense<Scalar> &b,
                     Index ci = bi * w + il;
                     Index cj = bj * w + jl;
                     if (ci < d.n && cj < d.m)
-                        extract_[slot] = ci * d.m + cj;
+                        extract_[slot] =
+                            static_cast<std::int32_t>(ci * d.m + cj);
                 });
             }
         }
     }
-
-    sched_ = HexIoSchedule::build(transform_.abar(),
-                                  transform_.bbar());
 }
 
 MatMulExecResult
@@ -207,8 +210,7 @@ MatMulPlan::run(const Dense<Scalar> &e) const
             c_at[extract_[slot]] = v;
     };
 
-    HexRunResult hex =
-        runHexBandMatMul(sched_, spec, input_value, on_output);
+    HexRunResult hex = runHexBandMatMul(spec, input_value, on_output);
     SAP_ASSERT(feedback->topologyRespected(),
                "a feedback transfer left its spiral loop");
 

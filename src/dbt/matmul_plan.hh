@@ -88,14 +88,15 @@ class MatMulPlan
     MatMulPlanResult runSemantics(const Dense<Scalar> &e) const;
 
   private:
-    /** Precomputed source of one in-band I position. */
+    /** Precomputed source of one in-band I position (12 bytes: a
+     *  plan holds one per band slot). */
     struct InputRoute
     {
         enum class Kind : std::uint8_t { Zero, FromE, FromO };
         Kind kind = Kind::Zero;
         bool irregular = false; ///< FromO: irregular spiral transfer
-        Index r = 0;            ///< FromE: E row; FromO: O row
-        Index c = 0;            ///< FromE: E col; FromO: O col
+        std::int32_t r = 0;     ///< FromE: E row; FromO: O row
+        std::int32_t c = 0;     ///< FromE: E col; FromO: O col
     };
 
     /** Flat index of in-band position (i, j), |i−j| <= w−1. */
@@ -119,14 +120,12 @@ class MatMulPlan
     // padding is not extracted.
     std::vector<InputRoute> routes_;
     /** Row-major index into C (n×m); −1 = not extracted. */
-    std::vector<Index> extract_;
+    std::vector<std::int32_t> extract_;
     /** FromO routes per SpiralFeedback record class, so each run
      *  sizes its feedback record once. */
     Index fb_main_ = 0;
     Index fb_pair_ = 0;
     Index fb_irregular_ = 0;
-    /** Per-cycle I/O event schedule (depends only on the bands). */
-    HexIoSchedule sched_;
 };
 
 } // namespace sap

@@ -130,9 +130,6 @@ class MatVecPlan
                            const Vec<Scalar> &b) const;
 
     MatVecTransform transform_;
-    /** Coefficient firing schedule (depends only on the band):
-     *  built once here so every run streams it. */
-    LinearASchedule asched_;
     /** Input-independent b̄/ȳ schedules, hoisted out of makeSpec()
      *  so each run copies instead of re-deriving them. */
     std::vector<std::uint8_t> b_external_;

@@ -4,10 +4,10 @@
  * every O-band value accumulated in the array's MAC order
  * (ascending k along the reduction), with the Appendix feedback
  * composition replayed through the plan's routing tables. O values
- * are processed in exit-cycle order — the order of the schedule's
- * flat extraction list — which topologically orders the feedback
- * dependencies (a value always exits strictly before the cycle its
- * consumer is injected).
+ * are processed in exit-cycle order, enumerated from the driver's
+ * closed-form exit schedule (forEachHexOExit), which topologically
+ * orders the feedback dependencies (a value always exits strictly
+ * before the cycle its consumer is injected).
  */
 
 #include <algorithm>
@@ -46,44 +46,45 @@ MatMulPlan::runSemantics(const Dense<Scalar> &e) const
     Scalar *c_at = res.c.raw();
     Index macs = 0;
 
-    for (const HexIoSchedule::CEvent &ev : sched_.oEvents.events) {
-        const Index i = ev.i;
-        const Index j = ev.j;
-        const std::size_t slot = bandIdx(i, j);
+    const Cycle horizon = hexHorizon(N, w);
+    for (Cycle tau = 0; tau <= horizon; ++tau) {
+        forEachHexOExit(N, w, tau, [&](Index i, Index j) {
+            const std::size_t slot = bandIdx(i, j);
 
-        const InputRoute &rt = routes_[slot];
-        Scalar acc = 0;
-        switch (rt.kind) {
-          case InputRoute::Kind::Zero:
-            acc = 0;
-            break;
-          case InputRoute::Kind::FromE:
-            acc = e_at[rt.r * d.m + rt.c];
-            break;
-          case InputRoute::Kind::FromO:
-            acc = captured[bandIdx(rt.r, rt.c)];
-            break;
-        }
+            const InputRoute &rt = routes_[slot];
+            Scalar acc = 0;
+            switch (rt.kind) {
+              case InputRoute::Kind::Zero:
+                acc = 0;
+                break;
+              case InputRoute::Kind::FromE:
+                acc = e_at[rt.r * d.m + rt.c];
+                break;
+              case InputRoute::Kind::FromO:
+                acc = captured[bandIdx(rt.r, rt.c)];
+                break;
+            }
 
-        // The c value for (i, j) meets a(i, k)·b(k, j) at PE
-        // (k−i, k−j) for ascending k — the array's MAC order.
-        const Index klo = std::max(i, j);
-        const Index khi = std::min(std::min(i, j) + w - 1, N - 1);
-        const Scalar *a_row = a + i * w - i;
-        const Scalar *b_col = b + j + w - 1;
-        for (Index k = klo; k <= khi; ++k)
-            acc = acc + a_row[k] * b_col[k * (w - 1)];
-        macs += khi - klo + 1;
+            // The c value for (i, j) meets a(i, k)·b(k, j) at PE
+            // (k−i, k−j) for ascending k — the array's MAC order.
+            const Index klo = std::max(i, j);
+            const Index khi = std::min(std::min(i, j) + w - 1, N - 1);
+            const Scalar *a_row = a + i * w - i;
+            const Scalar *b_col = b + j + w - 1;
+            for (Index k = klo; k <= khi; ++k)
+                acc = acc + a_row[k] * b_col[k * (w - 1)];
+            macs += khi - klo + 1;
 
-        captured[slot] = acc;
-        if (extract_[slot] >= 0)
-            c_at[extract_[slot]] = acc;
+            captured[slot] = acc;
+            if (extract_[slot] >= 0)
+                c_at[extract_[slot]] = acc;
+        });
     }
 
     res.stats.cycles = formulas::tMatMul(w, d.pbar, d.nbar, d.mbar);
     res.stats.peCount = w * w;
     res.stats.usefulMacs = macs;
-    res.totalCycles = sched_.horizon + 1;
+    res.totalCycles = horizon + 1;
     return res;
 }
 

@@ -47,8 +47,9 @@ PlanCache::entryMatches(const Entry &e, const std::string &engine_name,
                         const EnginePlan &plan) const
 {
     return e.engine == engine_name && e.kind == plan.kind &&
-           e.w == plan.w && e.a == plan.a &&
-           (plan.kind != ProblemKind::MatMul || e.bmat == plan.bmat);
+           e.w == plan.w && sameDenseBytes(e.a, plan.a) &&
+           (plan.kind != ProblemKind::MatMul ||
+            sameDenseBytes(e.bmat, plan.bmat));
 }
 
 std::shared_ptr<const PreparedPlan>

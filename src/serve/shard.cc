@@ -74,17 +74,18 @@ matchesOracle(const EnginePlan &plan, const EngineRunResult &r)
 
 /**
  * True when two requests bind identical plans: same engine, kind,
- * array size, and element-wise equal bound matrices. This is the
- * exact-compare backstop behind digest-keyed batch grouping — two
- * requests whose digests collide must not share a prepared plan.
+ * array size, and byte-identical bound matrices (sameDenseBytes, as
+ * the plan cache compares). This is the exact-compare backstop
+ * behind digest-keyed batch grouping — two requests whose digests
+ * collide must not share a prepared plan.
  */
 bool
 sameBinding(const ServeRequest &a, const ServeRequest &b)
 {
     return a.engine == b.engine && a.plan.kind == b.plan.kind &&
-           a.plan.w == b.plan.w && a.plan.a == b.plan.a &&
+           a.plan.w == b.plan.w && sameDenseBytes(a.plan.a, b.plan.a) &&
            (a.plan.kind != ProblemKind::MatMul ||
-            a.plan.bmat == b.plan.bmat);
+            sameDenseBytes(a.plan.bmat, b.plan.bmat));
 }
 
 /**

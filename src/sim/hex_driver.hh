@@ -21,13 +21,12 @@
 #ifndef SAP_SIM_HEX_DRIVER_HH
 #define SAP_SIM_HEX_DRIVER_HH
 
-#include <utility>
+#include <algorithm>
 
 #include "analysis/metrics.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
 #include "mat/band.hh"
-#include "sim/cycle_csr.hh"
 #include "sim/hex_array.hh"
 
 namespace sap {
@@ -70,90 +69,169 @@ struct HexRunResult
     Cycle lastExit = -1;
 };
 
-/**
- * Precomputed per-cycle I/O event lists of one (Ā, B̄) pair: which
- * a/b values enter which ports and which c positions enter/exit, by
- * cycle. Everything here depends only on the bands (never on E or
- * the feedback values), so a reusable plan builds the schedule once
- * and every execution streams it. Each stream is one CSR table
- * (sim/cycle_csr.hh); within a cycle, events keep ascending (i, k)
- * or (i, j) order.
- */
-struct HexIoSchedule
+/** Last cycle of an order-@p N, width-@p w problem: the last exit. */
+inline Cycle
+hexHorizon(Index N, Index w)
 {
-    struct AEvent
-    {
-        Index port;   ///< row (a) or column (b) edge port
-        Scalar value; ///< band element
-    };
-    struct CEvent
-    {
-        Index i, j; ///< scalar O/I-band position
-    };
+    return 3 * (N - 1) + 2 * w - 2;
+}
 
-    Cycle horizon = -1; ///< last scheduled cycle
-    CycleCsr<AEvent> aEvents; ///< a(i, k) at τ = i + 2k, row k−i
-    CycleCsr<AEvent> bEvents; ///< b(k, j) at τ = 2k + j, column k−j
-    CycleCsr<CEvent> cEvents; ///< I-band injections
-    CycleCsr<CEvent> oEvents; ///< O-band extractions (exit order)
-
-    /** Build from the band pair (validated like HexBandSpec). */
-    static HexIoSchedule build(const Band<Scalar> &abar,
-                               const Band<Scalar> &bbar);
+/**
+ * Offsets d of the items (m, d) of one hex stream that arrive at
+ * @p s = 3m + c·d, where 0 <= d <= dmax, m >= 0 and m + d <= N − 1:
+ * every d in [first, last] with d ≡ c·s (mod 3), so stepping by 3
+ * from first (c is 1 or 2). Empty when last < first.
+ */
+struct HexOffsets
+{
+    Index first = 0;
+    Index last = -1;
 };
 
+inline HexOffsets
+hexOffsets(Index N, Index dmax, Index c, Cycle s)
+{
+    const Index span = 3 * (N - 1) - s; // m + d <= N − 1
+    if (s < 0 || span < 0)
+        return {};
+    return {(c * s) % 3, std::min({dmax, s / c, span / (3 - c)})};
+}
+
+/** Call f(d) for the offsets of @p o in descending order. */
+template <typename F>
+inline void
+forEachOffsetDown(const HexOffsets &o, F &&f)
+{
+    if (o.last < o.first)
+        return;
+    for (Index d = o.first + (o.last - o.first) / 3 * 3; d >= o.first;
+         d -= 3)
+        f(d);
+}
+
+/** Call f(d) for the offsets of @p o, skipping 0, ascending. */
+template <typename F>
+inline void
+forEachNonzeroOffsetUp(const HexOffsets &o, F &&f)
+{
+    for (Index d = o.first == 0 ? 3 : o.first; d <= o.last; d += 3)
+        f(d);
+}
+
+// The stream events of cycle tau, enumerated from the schedule's
+// closed forms (see the file comment) rather than stored: each
+// enumerator visits only the positions that can fire on that cycle,
+// in ascending i (a, c, o) or ascending j (b).
+
+/** f(i, k) for each a(i, k) entering row k − i: τ = 3i + 2(k − i). */
+template <typename F>
+inline void
+forEachHexAIn(Index N, Index w, Cycle tau, F &&f)
+{
+    forEachOffsetDown(hexOffsets(N, w - 1, 2, tau), [&](Index r) {
+        const Index i = (tau - 2 * r) / 3;
+        f(i, i + r);
+    });
+}
+
+/** f(k, j) for each b(k, j) entering column k − j: τ = 3j + 2(k − j),
+ *  the a stream mirrored. */
+template <typename F>
+inline void
+forEachHexBIn(Index N, Index w, Cycle tau, F &&f)
+{
+    forEachHexAIn(N, w, tau, [&](Index j, Index k) { f(k, j); });
+}
+
 /**
- * Execute one band mat-mul problem on the hexagonal array with a
- * prebuilt event schedule.
+ * f(i, j) for each I/O-band position with s = 3·min(i, j) + c·|j − i|,
+ * in ascending i: the upper half (j ≥ i) in descending j − i, then
+ * the lower half in ascending i − j.
+ */
+template <typename F>
+inline void
+forEachHexBandPosition(Index N, Index w, Index c, Cycle s, F &&f)
+{
+    const HexOffsets o = hexOffsets(N, w - 1, c, s);
+    forEachOffsetDown(o, [&](Index d) {
+        const Index m = (s - c * d) / 3;
+        f(m, m + d);
+    });
+    forEachNonzeroOffsetUp(o, [&](Index d) {
+        const Index m = (s - c * d) / 3;
+        f(m + d, m);
+    });
+}
+
+/** f(i, j) for each c(i, j) injected on diagonal j − i:
+ *  τ − (w−1) = 3·min(i, j) + 2|j − i|. */
+template <typename F>
+inline void
+forEachHexCIn(Index N, Index w, Cycle tau, F &&f)
+{
+    forEachHexBandPosition(N, w, 2, tau - (w - 1), f);
+}
+
+/** f(i, j) for each O-band position leaving diagonal j − i after
+ *  cycle τ: τ − (2w−2) = 3·min(i, j) + |j − i|. */
+template <typename F>
+inline void
+forEachHexOExit(Index N, Index w, Cycle tau, F &&f)
+{
+    forEachHexBandPosition(N, w, 1, tau - (2 * w - 2), f);
+}
+
+/**
+ * Execute one band mat-mul problem on the hexagonal array, feeding
+ * each cycle's stream events from the closed-form schedule and the
+ * bands' raw storage.
  *
  * @param inputValue Scalar(Index i, Index j): the I-band value of
  *        position (i, j); called exactly once per in-band position,
  *        in nondecreasing injection-time order.
  * @param onOutput void(Index i, Index j, Scalar v, Cycle exit): the
  *        O-band value of (i, j) left the array after cycle `exit`.
- * @pre @p sched was built from @p spec's bands (spot-checked by
- *      shape assertions).
  *
  * The callables are template parameters so that the per-event
  * routing inlines into the cycle loop.
  */
 template <typename InputFn, typename OutputFn>
 HexRunResult
-runHexBandMatMul(const HexIoSchedule &sched, const HexBandSpec &spec,
-                 InputFn &&inputValue, OutputFn &&onOutput)
+runHexBandMatMul(const HexBandSpec &spec, InputFn &&inputValue,
+                 OutputFn &&onOutput)
 {
     spec.validate();
     const Index w = spec.w();
     const Index N = spec.order();
-    SAP_ASSERT(sched.horizon == 3 * (N - 1) + 2 * w - 2,
-               "schedule was built for a different problem");
+    // Row-major band storage (Band::raw()): Ā(i, k) at i·w + (k − i),
+    // B̄(k, j) at k·w + (j − k) + w − 1.
+    const Scalar *a = spec.abar->raw();
+    const Scalar *b = spec.bbar->raw();
     HexArray array(w);
 
-    const Cycle horizon = sched.horizon;
+    const Cycle horizon = hexHorizon(N, w);
 
     HexRunResult res;
     for (Cycle tau = 0; tau <= horizon; ++tau) {
-        for (const HexIoSchedule::AEvent *ev = sched.aEvents.begin(tau);
-             ev != sched.aEvents.end(tau); ++ev)
-            array.setAIn(ev->port, Sample::of(ev->value));
-        for (const HexIoSchedule::AEvent *ev = sched.bEvents.begin(tau);
-             ev != sched.bEvents.end(tau); ++ev)
-            array.setBIn(ev->port, Sample::of(ev->value));
-        for (const HexIoSchedule::CEvent *ev = sched.cEvents.begin(tau);
-             ev != sched.cEvents.end(tau); ++ev)
-            array.setCIn(ev->j - ev->i,
-                         Sample::of(inputValue(ev->i, ev->j)));
+        forEachHexAIn(N, w, tau, [&](Index i, Index k) {
+            array.setAIn(k - i, Sample::of(a[i * w + (k - i)]));
+        });
+        forEachHexBIn(N, w, tau, [&](Index k, Index j) {
+            array.setBIn(k - j, Sample::of(b[k * w + (j - k) + w - 1]));
+        });
+        forEachHexCIn(N, w, tau, [&](Index i, Index j) {
+            array.setCIn(j - i, Sample::of(inputValue(i, j)));
+        });
 
         array.step();
 
-        for (const HexIoSchedule::CEvent *ev = sched.oEvents.begin(tau);
-             ev != sched.oEvents.end(tau); ++ev) {
-            Sample s = array.cOut(ev->j - ev->i);
-            SAP_ASSERT(s.valid, "missing output at (", ev->i, ",",
-                       ev->j, ") cycle ", tau);
-            onOutput(ev->i, ev->j, s.value, tau);
+        forEachHexOExit(N, w, tau, [&](Index i, Index j) {
+            Sample s = array.cOut(j - i);
+            SAP_ASSERT(s.valid, "missing output at (", i, ",", j,
+                       ") cycle ", tau);
+            onOutput(i, j, s.value, tau);
             res.lastExit = tau;
-        }
+        });
     }
 
     res.totalCycles = horizon + 1;
@@ -167,19 +245,6 @@ runHexBandMatMul(const HexIoSchedule &sched, const HexBandSpec &spec,
     // exactly for every shape (see EXPERIMENTS.md).
     res.stats.cycles = (res.lastExit + 1) - res.firstMac + 1;
     return res;
-}
-
-/** Same, building the event schedule from @p spec's bands first. */
-template <typename InputFn, typename OutputFn>
-HexRunResult
-runHexBandMatMul(const HexBandSpec &spec, InputFn &&inputValue,
-                 OutputFn &&onOutput)
-{
-    spec.validate();
-    return runHexBandMatMul(
-        HexIoSchedule::build(*spec.abar, *spec.bbar), spec,
-        std::forward<InputFn>(inputValue),
-        std::forward<OutputFn>(onOutput));
 }
 
 } // namespace sap

@@ -6,26 +6,6 @@
 
 namespace sap {
 
-LinearASchedule
-LinearASchedule::build(const Band<Scalar> &abar)
-{
-    SAP_ASSERT(abar.sub() == 0, "a-schedule needs an upper band");
-    const Index w = abar.super() + 1;
-    const Index rows = abar.rows();
-    // Row-major band storage (Band::raw()): a(i, i+d) at i·w + d.
-    const Scalar *a = abar.raw();
-
-    LinearASchedule s;
-    s.horizon = rows == 0 ? -1 : 2 * (rows - 1) + 2 * w - 2;
-    // a(i, i+d) fires in PE w−1−d at cycle 2i + w − 1 + d.
-    s.fires = CycleCsr<Event>::build(s.horizon, [&](auto &&emit) {
-        for (Index i = 0; i < rows; ++i)
-            for (Index d = 0; d < w; ++d)
-                emit(2 * i + w - 1 + d, Event{w - 1 - d, a[i * w + d]});
-    });
-    return s;
-}
-
 void
 BandMatVecSpec::validate() const
 {
@@ -47,10 +27,6 @@ BandMatVecSpec::validate() const
     for (Index i = 0; i < std::min(rows(), w_); ++i)
         SAP_ASSERT(bIsExternal[i],
                    "row ", i, " wants feedback before any output");
-    if (aSchedule)
-        SAP_ASSERT(static_cast<Index>(aSchedule->fires.events.size()) ==
-                       rows() * w_,
-                   "a-schedule does not cover this band");
 }
 
 namespace {
@@ -155,34 +131,13 @@ runLanes(Lane *lanes, std::size_t lane_count, LinearArray &array,
                 }
             }
 
-            // a coefficients: diagonal d = w-1-p into PE p at
-            // t = 2i + 2w - 2 - p. A precomputed schedule (reusable
-            // plans) replaces the per-cycle derivation; it covers the
-            // whole band, so a lane reads it at band time
-            // t + 2·row0 and keeps only its own rows'
-            // firings, i = (t_band − 2w + 2 + p)/2.
-            if (const LinearASchedule *as = spec.aSchedule) {
-                const Cycle tb = t + 2 * row0;
-                if (t >= 0 && tb <= as->horizon) {
-                    for (const LinearASchedule::Event *ev =
-                             as->fires.begin(tb);
-                         ev != as->fires.end(tb); ++ev) {
-                        const Index i = (tb - 2 * w + 2 + ev->pe) / 2;
-                        if (i >= row0 && i < row0 + rows)
-                            array.setAIn(ev->pe, Sample::of(ev->value));
-                    }
-                }
-            } else {
-                for (Index p = 0; p < w; ++p) {
-                    Cycle ta = t - (2 * w - 2 - p);
-                    if (ta >= 0 && ta % 2 == 0 && ta / 2 < rows) {
-                        Index i = row0 + ta / 2;
-                        Index d = w - 1 - p;
-                        array.setAIn(p,
-                                     Sample::of(spec.abar->at(i, i + d)));
-                    }
-                }
-            }
+            // a coefficients: a(i, i+d) of the lane's own rows
+            // into PE w−1−d, read from the row-major band storage
+            // (Band::raw()) at (row0 + i)·w + d.
+            const Scalar *a = spec.abar->raw() + row0 * w;
+            forEachLinearFiring(w, rows, t, [&](Index p, Index i) {
+                array.setAIn(p, Sample::of(a[i * w + (w - 1 - p)]));
+            });
         }
 
         array.step();

@@ -19,6 +19,7 @@
 #ifndef SAP_SIM_LINEAR_DRIVER_HH
 #define SAP_SIM_LINEAR_DRIVER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -26,34 +27,28 @@
 #include "base/types.hh"
 #include "mat/band.hh"
 #include "mat/vector.hh"
-#include "sim/cycle_csr.hh"
 #include "sim/trace.hh"
 
 namespace sap {
 
 /**
- * Precomputed a-coefficient firing schedule for one band matrix:
- * which coefficient enters which PE on each cycle, as one CSR table
- * (sim/cycle_csr.hh).
- *
- * The schedule depends only on the band, so a reusable plan builds
- * it once and every execution streams it instead of re-deriving the
- * firings (modulo checks + banded reads) per cycle.
+ * Call fire(p, i) for every coefficient a(i, i + w−1−p) of the
+ * lane-local band rows 0 <= i < rows that fires in PE p at lane
+ * cycle t. a(i, i+d) fires in PE w−1−d at t = 2i + w − 1 + d, so
+ * only the PEs of t's parity can fire; they are visited in ascending
+ * p, which is ascending i.
  */
-struct LinearASchedule
+template <typename F>
+inline void
+forEachLinearFiring(Index w, Index rows, Cycle t, F &&fire)
 {
-    struct Event
-    {
-        Index pe;     ///< destination PE
-        Scalar value; ///< the coefficient
-    };
-
-    Cycle horizon = -1;     ///< last cycle with any event
-    CycleCsr<Event> fires;  ///< rows() * w events
-
-    /** Build from an upper band (sub() == 0, super() == w−1). */
-    static LinearASchedule build(const Band<Scalar> &abar);
-};
+    // i = (t − 2w + 2 + p)/2 must lie in [0, rows).
+    Index p = std::max<Index>(0, 2 * w - 2 - t);
+    const Index last = std::min<Index>(w - 1, 2 * rows + 2 * w - 4 - t);
+    p += (p ^ t) & 1; // p ≡ t (mod 2)
+    for (; p <= last; p += 2)
+        fire(p, (t - 2 * w + 2 + p) / 2);
+}
 
 /**
  * A band mat-vec problem instance in array-ready form.
@@ -74,13 +69,6 @@ struct BandMatVecSpec
     Vec<Scalar> externalB;
     /** Per scalar row: true = ȳ_i is a final result. */
     std::vector<std::uint8_t> yIsFinal;
-
-    /**
-     * Optional precomputed coefficient schedule for abar; when null
-     * the driver derives each cycle's firings from abar directly.
-     * Must have been built from this spec's abar.
-     */
-    const LinearASchedule *aSchedule = nullptr;
 
     /** Array size = bandwidth of abar. */
     Index w() const { return abar->super() + 1; }

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <future>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -353,6 +355,42 @@ TEST(Cluster, BatchGroupsSameMatrixIntoOneBuild)
     // the group's shared plan (reported as a cache hit).
     EXPECT_EQ(stats.planCache.misses, 2u);
     EXPECT_EQ(reported_hits, 7u);
+}
+
+TEST(Cluster, BatchNonFiniteFollowersRideTheLeadersPlan)
+{
+    // A bound matrix holding NaN groups by its bytes: followers of a
+    // NaN-bearing leader share its prepared plan instead of each
+    // building their own.
+    Cluster::Options opts;
+    opts.shards = 2;
+    opts.threadsPerShard = 1;
+    Cluster cluster(opts);
+
+    Dense<Scalar> a = randomIntDense(8, 8, 1701);
+    a(2, 6) = std::numeric_limits<Scalar>::quiet_NaN();
+    std::vector<ServeRequest> reqs;
+    for (int i = 0; i < 4; ++i)
+        reqs.push_back(matVecRequest("linear", a, 1710 + 2 * i, 4));
+
+    std::vector<std::future<ServeResponse>> futures =
+        cluster.submitBatch(std::move(reqs));
+    std::size_t reported_hits = 0;
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        ServeResponse resp = futures[i].get();
+        ASSERT_TRUE(resp.ok) << resp.error;
+        // Row 2 meets the NaN; the other rows stay finite.
+        ASSERT_EQ(resp.result.y.size(), 8);
+        EXPECT_TRUE(std::isnan(resp.result.y[2])) << i;
+        EXPECT_TRUE(std::isfinite(resp.result.y[0])) << i;
+        reported_hits += resp.cacheHit ? 1 : 0;
+    }
+    ClusterStats stats = cluster.stats();
+    EXPECT_EQ(stats.planCache.misses, 1u);
+    // Followers that rode the leader's plan never probed the cache.
+    EXPECT_EQ(stats.planCache.hits, 0u);
+    EXPECT_EQ(stats.planCache.collisions, 0u);
+    EXPECT_EQ(reported_hits, 3u);
 }
 
 TEST(Cluster, BatchMalformedRequestDoesNotBlockItsGroup)

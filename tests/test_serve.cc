@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <future>
 
+#include "base/heap.hh"
 #include "engine/registry.hh"
 #include "mat/generate.hh"
 #include "mat/ops.hh"
@@ -269,6 +271,105 @@ TEST(PlanCache, MatMulKeysIncludeBothOperands)
         cache.prepare(*engine, EnginePlan::matMul(a, b2, e, 2)).hit);
     EXPECT_TRUE(
         cache.prepare(*engine, EnginePlan::matMul(a, b1, e, 2)).hit);
+}
+
+TEST(PlanCache, NonFiniteMatrixHits)
+{
+    // The wire accepts non-finite values. A matrix holding NaN or ±Inf
+    // must find its own plan: the digest hashes its bytes, so the
+    // confirming compare must be byte-wise too (NaN != NaN by value).
+    auto engine = makeEngine("linear");
+    for (Scalar bad : {std::numeric_limits<Scalar>::quiet_NaN(),
+                       std::numeric_limits<Scalar>::infinity(),
+                       -std::numeric_limits<Scalar>::infinity()}) {
+        SCOPED_TRACE(testing::Message() << "value " << bad);
+        PlanCache cache(8);
+        Dense<Scalar> a = randomIntDense(8, 8, 61);
+        a(3, 5) = bad;
+        EnginePlan plan = EnginePlan::matVec(a, randomIntVec(8, 62),
+                                             randomIntVec(8, 63), 4);
+        PlanCache::Prepared first = cache.prepare(*engine, plan);
+        EXPECT_FALSE(first.hit);
+        for (int rep = 0; rep < 2; ++rep) {
+            PlanCache::Prepared again = cache.prepare(*engine, plan);
+            EXPECT_TRUE(again.hit);
+            EXPECT_EQ(again.plan.get(), first.plan.get());
+        }
+        EXPECT_EQ(cache.size(), 1u);
+        EXPECT_EQ(cache.stats().collisions, 0u);
+        EXPECT_EQ(cache.stats().hits, 2u);
+    }
+}
+
+TEST(PlanCache, SignedZeroIsADistinctBinding)
+{
+    // +0.0 and −0.0 are equal values but different bytes, so they
+    // hash apart; under a forced collision the exact compare must
+    // still keep them apart rather than serve one the other's plan.
+    auto engine = makeEngine("linear");
+    PlanCache cache(8, [](const Dense<Scalar> &) { return Digest{7}; });
+    Dense<Scalar> pos = randomIntDense(6, 6, 71);
+    pos(2, 2) = 0.0;
+    Dense<Scalar> neg = pos;
+    neg(2, 2) = -0.0;
+    ASSERT_TRUE(pos == neg); // value-equal
+    Vec<Scalar> x = randomIntVec(6, 72), b = randomIntVec(6, 73);
+
+    PlanCache::Prepared p1 =
+        cache.prepare(*engine, EnginePlan::matVec(pos, x, b, 3));
+    PlanCache::Prepared p2 =
+        cache.prepare(*engine, EnginePlan::matVec(neg, x, b, 3));
+    EXPECT_FALSE(p2.hit);
+    EXPECT_NE(p1.plan.get(), p2.plan.get());
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_GE(cache.stats().collisions, 1u);
+    EXPECT_TRUE(
+        cache.prepare(*engine, EnginePlan::matVec(neg, x, b, 3)).hit);
+    EXPECT_TRUE(
+        cache.prepare(*engine, EnginePlan::matVec(pos, x, b, 3)).hit);
+}
+
+TEST(PlanCache, RetainedBytesStayBounded)
+{
+    // Heap retained by one cache entry (its operand copies plus the
+    // prepared plan). Measured with closed-form cycle schedules, which
+    // keep no per-cycle tables: linear 256² w=64 1035 KiB (512 KiB
+    // operand copy + 512 KiB band), hex 24² w=8 99 KiB. Bounds are
+    // those values plus a 10% margin; plans that stored their event
+    // schedules held 2072 KiB and 320 KiB.
+    if (heapBytesInUse() < 0)
+        GTEST_SKIP() << "no mallinfo2 (non-glibc or sanitizer build)";
+    struct Case
+    {
+        const char *engine;
+        Index n, w;
+        double boundKib;
+    };
+    for (const Case &c : {Case{"linear", 256, 64, 1140.0},
+                          Case{"hex", 24, 8, 110.0}}) {
+        SCOPED_TRACE(c.engine);
+        auto engine = makeEngine(c.engine);
+        auto planFor = [&](std::uint64_t seed) {
+            Dense<Scalar> a = randomIntDense(c.n, c.n, seed);
+            return engine->kind() == ProblemKind::MatMul
+                ? EnginePlan::matMul(a, randomIntDense(c.n, c.n, seed + 1),
+                                     c.w)
+                : EnginePlan::matVec(a, randomIntVec(c.n, seed + 1),
+                                     randomIntVec(c.n, seed + 2), c.w);
+        };
+        PlanCache cache(4);
+        // Warm up any lazily allocated state on the prepare path.
+        cache.prepare(*engine, planFor(81));
+        EnginePlan plan = planFor(91);
+        const std::int64_t before = heapBytesInUse();
+        EXPECT_FALSE(cache.prepare(*engine, plan).hit);
+        const double kib =
+            static_cast<double>(heapBytesInUse() - before) / 1024.0;
+        RecordProperty(std::string(c.engine) + "_entry_kib",
+                       std::to_string(kib));
+        EXPECT_LE(kib, c.boundKib);
+        EXPECT_EQ(cache.size(), 2u);
+    }
 }
 
 //---------------------------------------------------------------------

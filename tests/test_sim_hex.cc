@@ -172,89 +172,84 @@ TEST(HexSchedule, MisalignedOperandsNeverMac)
     EXPECT_EQ(arr.usefulMacs(), 0);
 }
 
-TEST(HexSchedule, CsrListsCoverEveryBandPositionOnce)
+TEST(HexSchedule, ClosedFormsCoverEveryBandPositionOnce)
 {
-    // The flat per-cycle lists must hold every stream item exactly
-    // once, at the cycle hex_driver.hh documents: a(i,k) at i+2k on
+    // The closed-form enumerators must name every stream item exactly
+    // once, at the cycle hex_driver.hh documents — a(i,k) at i+2k on
     // row k−i, b(k,j) at 2k+j on column k−j, c(i,j) in at
-    // i+j+max(i,j)+w−1 and out at i+j+min(i,j)+2w−2.
-    for (Index w : {1, 2, 3, 5}) {
-        for (Index order : {w, 2 * w + 1, 4 * w - 1}) {
+    // i+j+max(i,j)+w−1 and out at i+j+min(i,j)+2w−2 — never outside
+    // [0, horizon], and within a cycle in ascending i (a, c, o) or
+    // ascending j (b). Shapes include w = 1, N = 1 and N < w.
+    for (Index w : {1, 2, 3, 5, 8}) {
+        for (Index order : {Index{1}, w - 1, w, w + 1, 2 * w + 1,
+                            4 * w - 1}) {
+            if (order < 1)
+                continue;
+            SCOPED_TRACE(testing::Message() << "w=" << w
+                                            << " N=" << order);
+            const Cycle horizon = hexHorizon(order, w);
+            ASSERT_EQ(horizon, 3 * (order - 1) + 2 * w - 2);
             Band<Scalar> abar(order, order, 0, w - 1);
             Band<Scalar> bbar(order, order, w - 1, 0);
-            // Distinct values, so each event names its element.
-            for (Index i = 0; i < order; ++i) {
-                for (Index k = i; k <= std::min(i + w - 1, order - 1);
-                     ++k)
-                    abar.ref(i, k) = static_cast<Scalar>(1000 * i + k);
-                for (Index j = std::max(Index{0}, i - w + 1); j <= i;
-                     ++j)
-                    bbar.ref(i, j) = static_cast<Scalar>(-1000 * i - j);
-            }
-            HexIoSchedule s = HexIoSchedule::build(abar, bbar);
-            ASSERT_EQ(s.horizon, 3 * (order - 1) + 2 * w - 2);
 
             Dense<Scalar> a_seen(order, order), b_seen(order, order);
             Dense<Scalar> c_seen(order, order), o_seen(order, order);
-            auto check_csr = [&](const auto &csr) {
-                ASSERT_EQ(csr.offsets.size(),
-                          static_cast<std::size_t>(s.horizon + 2));
-                EXPECT_EQ(csr.offsets.front(), 0u);
-                EXPECT_EQ(csr.offsets.back(), csr.events.size());
-                for (std::size_t t = 1; t < csr.offsets.size(); ++t)
-                    EXPECT_LE(csr.offsets[t - 1], csr.offsets[t]);
-            };
-            check_csr(s.aEvents);
-            check_csr(s.bEvents);
-            check_csr(s.cEvents);
-            check_csr(s.oEvents);
-
-            for (Cycle t = 0; t <= s.horizon; ++t) {
-                for (auto *ev = s.aEvents.begin(t);
-                     ev != s.aEvents.end(t); ++ev) {
-                    // τ = i + 2k = 3i + 2r with r = k − i.
-                    ASSERT_EQ((t - 2 * ev->port) % 3, 0) << "t=" << t;
-                    Index i = (t - 2 * ev->port) / 3;
-                    Index k = i + ev->port;
+            // Cycles past both ends must stay empty.
+            for (Cycle t = -3 * w - 3; t <= horizon + 3 * w + 3; ++t) {
+                const bool inside = t >= 0 && t <= horizon;
+                Index prev = -1;
+                forEachHexAIn(order, w, t, [&](Index i, Index k) {
+                    ASSERT_TRUE(inside) << "t=" << t;
                     ASSERT_TRUE(abar.inBand(i, k)) << i << "," << k;
-                    EXPECT_EQ(ev->value, abar.at(i, k));
+                    EXPECT_EQ(t, i + 2 * k);
+                    EXPECT_GT(i, prev) << "a order at t=" << t;
+                    prev = i;
                     a_seen(i, k) += 1;
-                }
-                for (auto *ev = s.bEvents.begin(t);
-                     ev != s.bEvents.end(t); ++ev) {
-                    // τ = 2k + j = 3j + 2q with q = k − j.
-                    ASSERT_EQ((t - 2 * ev->port) % 3, 0) << "t=" << t;
-                    Index j = (t - 2 * ev->port) / 3;
-                    Index k = j + ev->port;
+                });
+                prev = -1;
+                forEachHexBIn(order, w, t, [&](Index k, Index j) {
+                    ASSERT_TRUE(inside) << "t=" << t;
                     ASSERT_TRUE(bbar.inBand(k, j)) << k << "," << j;
-                    EXPECT_EQ(ev->value, bbar.at(k, j));
+                    EXPECT_EQ(t, 2 * k + j);
+                    EXPECT_GT(j, prev) << "b order at t=" << t;
+                    prev = j;
                     b_seen(k, j) += 1;
-                }
-                for (auto *ev = s.cEvents.begin(t);
-                     ev != s.cEvents.end(t); ++ev) {
-                    EXPECT_EQ(t, ev->i + ev->j + std::max(ev->i, ev->j) +
-                                     w - 1);
-                    c_seen(ev->i, ev->j) += 1;
-                }
-                for (auto *ev = s.oEvents.begin(t);
-                     ev != s.oEvents.end(t); ++ev) {
-                    EXPECT_EQ(t, ev->i + ev->j + std::min(ev->i, ev->j) +
-                                     2 * w - 2);
-                    o_seen(ev->i, ev->j) += 1;
-                }
+                });
+                auto in_io = [&](Index i, Index j) {
+                    return i >= 0 && j >= 0 && i < order &&
+                           j < order && j - i > -w && j - i < w;
+                };
+                prev = -1;
+                forEachHexCIn(order, w, t, [&](Index i, Index j) {
+                    ASSERT_TRUE(inside) << "t=" << t;
+                    ASSERT_TRUE(in_io(i, j)) << i << "," << j;
+                    EXPECT_EQ(t, i + j + std::max(i, j) + w - 1);
+                    EXPECT_GT(i, prev) << "c order at t=" << t;
+                    prev = i;
+                    c_seen(i, j) += 1;
+                });
+                prev = -1;
+                forEachHexOExit(order, w, t, [&](Index i, Index j) {
+                    ASSERT_TRUE(inside) << "t=" << t;
+                    ASSERT_TRUE(in_io(i, j)) << i << "," << j;
+                    EXPECT_EQ(t, i + j + std::min(i, j) + 2 * w - 2);
+                    EXPECT_GT(i, prev) << "o order at t=" << t;
+                    prev = i;
+                    o_seen(i, j) += 1;
+                });
             }
 
             for (Index i = 0; i < order; ++i) {
                 for (Index j = 0; j < order; ++j) {
                     const bool in_io = j - i > -w && j - i < w;
                     EXPECT_EQ(c_seen(i, j), in_io ? 1 : 0)
-                        << "c(" << i << "," << j << ") w=" << w;
+                        << "c(" << i << "," << j << ")";
                     EXPECT_EQ(o_seen(i, j), in_io ? 1 : 0)
-                        << "o(" << i << "," << j << ") w=" << w;
+                        << "o(" << i << "," << j << ")";
                     EXPECT_EQ(a_seen(i, j), abar.inBand(i, j) ? 1 : 0)
-                        << "a(" << i << "," << j << ") w=" << w;
+                        << "a(" << i << "," << j << ")";
                     EXPECT_EQ(b_seen(i, j), bbar.inBand(i, j) ? 1 : 0)
-                        << "b(" << i << "," << j << ") w=" << w;
+                        << "b(" << i << "," << j << ")";
                 }
             }
         }

@@ -6,6 +6,8 @@
  * overlapped (interleaved) mode and PE grouping.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "analysis/formulas.hh"
@@ -14,6 +16,7 @@
 #include "mat/ops.hh"
 #include "sim/delay_line.hh"
 #include "sim/linear_array.hh"
+#include "sim/linear_driver.hh"
 
 namespace sap {
 namespace {
@@ -373,6 +376,92 @@ TEST(LinearSchedule, DocumentedScheduleProducesOutputsEveryTwoCycles)
         }
     }
     EXPECT_EQ(outputs_seen, n);
+}
+
+TEST(LinearSchedule, ClosedFormCoversEveryBandPositionOnce)
+{
+    // forEachLinearFiring must name every coefficient a(i, i+d)
+    // exactly once, in PE w−1−d at cycle 2i+w−1+d, never outside
+    // [0, 2(rows−1)+2w−2], and within a cycle in ascending PE (so
+    // ascending i), all of the cycle's parity — which is also the
+    // grouped run's 2:1 rule at the input edge: no PE pair
+    // (2g, 2g+1) takes two coefficients in one cycle.
+    for (Index w : {1, 2, 3, 5, 8}) {
+        for (Index rows : {Index{1}, w - 1, w, w + 1, 2 * w + 1,
+                           4 * w - 1}) {
+            if (rows < 1)
+                continue;
+            SCOPED_TRACE(testing::Message() << "w=" << w
+                                            << " rows=" << rows);
+            const Cycle horizon = 2 * (rows - 1) + 2 * w - 2;
+            Dense<Scalar> seen(rows, w);
+            for (Cycle t = -2 * w - 3; t <= horizon + 2 * w + 3; ++t) {
+                Index prev_p = -1, prev_i = -1;
+                forEachLinearFiring(w, rows, t, [&](Index p, Index i) {
+                    ASSERT_TRUE(t >= 0 && t <= horizon) << "t=" << t;
+                    ASSERT_TRUE(p >= 0 && p < w) << "p=" << p;
+                    ASSERT_TRUE(i >= 0 && i < rows) << "i=" << i;
+                    const Index d = w - 1 - p;
+                    EXPECT_EQ(t, 2 * i + w - 1 + d);
+                    EXPECT_EQ((t - p) % 2, 0) << "parity at t=" << t;
+                    EXPECT_GT(p, prev_p) << "order at t=" << t;
+                    EXPECT_GT(i, prev_i) << "order at t=" << t;
+                    if (prev_p >= 0) {
+                        EXPECT_NE(p / 2, prev_p / 2)
+                            << "pair (" << p / 2 * 2 << ","
+                            << p / 2 * 2 + 1 << ") twice at t=" << t;
+                    }
+                    prev_p = p;
+                    prev_i = i;
+                    seen(i, d) += 1;
+                });
+            }
+            for (Index i = 0; i < rows; ++i)
+                for (Index d = 0; d < w; ++d)
+                    EXPECT_EQ(seen(i, d), 1)
+                        << "a(" << i << "," << i + d << ")";
+        }
+    }
+}
+
+TEST(LinearSchedule, SplitLanesFireOnlyTheirOwnRows)
+{
+    // The overlapped run's two lanes (band rows [0, cut) at offset 0,
+    // [cut, rows) at offset 1) each enumerate only their own rows:
+    // together they fire every coefficient once, row r of lane l at
+    // 2(r − row0) + w − 1 + d + l, and never the same PE in one cycle.
+    for (Index w : {1, 2, 3, 5}) {
+        for (Index rows : {Index{2}, w + 1, 2 * w, 4 * w - 1}) {
+            for (Index cut : {Index{1}, rows / 2, rows - 1}) {
+                if (cut < 1 || cut >= rows)
+                    continue;
+                SCOPED_TRACE(testing::Message() << "w=" << w << " rows="
+                                                << rows << " cut=" << cut);
+                const Index row0[2] = {0, cut};
+                const Index count[2] = {cut, rows - cut};
+                Dense<Scalar> seen(rows, w);
+                const Cycle horizon = 2 * rows + 2 * w;
+                for (Cycle tau = 0; tau <= horizon; ++tau) {
+                    std::vector<int> pe_hits(static_cast<std::size_t>(w));
+                    for (Index l = 0; l < 2; ++l) {
+                        forEachLinearFiring(
+                            w, count[l], tau - l, [&](Index p, Index i) {
+                                ASSERT_TRUE(i >= 0 && i < count[l]);
+                                const Index d = w - 1 - p;
+                                EXPECT_EQ(tau, 2 * i + w - 1 + d + l);
+                                EXPECT_EQ(++pe_hits[p], 1)
+                                    << "PE " << p << " twice at " << tau;
+                                seen(row0[l] + i, d) += 1;
+                            });
+                    }
+                }
+                for (Index r = 0; r < rows; ++r)
+                    for (Index d = 0; d < w; ++d)
+                        EXPECT_EQ(seen(r, d), 1)
+                            << "a(" << r << "," << r + d << ")";
+            }
+        }
+    }
 }
 
 } // namespace

@@ -11,8 +11,7 @@
  * The bench parks 0 / 1,000 / 5,000 idle client connections on a
  * gateway fronting two live backends, then measures sequential
  * submit latency from one hot client at each level. The figure of
- * merit: p99 at 5,000 parked connections within 2x the p99 at zero
- * (on the poll() fallback build, SAP_NET_FORCE_POLL, it is not).
+ * merit: p99 at 5,000 parked connections within 2x the p99 at zero.
  *
  * Also measured: the accept rate while parking the herd (the
  * front-door cost of a reconnect storm).

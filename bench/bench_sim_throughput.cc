@@ -39,8 +39,8 @@ struct HostCost
  * prepare time in µs, and Simulate time per simulated cycle
  * (stats.cycles) in ns — the same quantities the serving benchmark
  * reports as dbt.prepare_us and sim.host_ns_per_cycle — plus the
- * heap one prepared plan holds (what a plan cache entry costs
- * beyond its operand copies).
+ * heap one prepared plan holds (what one plan cache entry costs: the
+ * plan is also the ground truth a cache hit is verified against).
  */
 HostCost
 hostCost(const SystolicEngine &engine, const EnginePlan &plan, int reps)

@@ -23,6 +23,21 @@ BlockNoFeedbackPlan::BlockNoFeedbackPlan(const Dense<Scalar> &a,
                 DenseWindow<Scalar>(a, i * w, j * w, w, w), w);
 }
 
+bool
+BlockNoFeedbackPlan::holdsBytesOf(const Dense<Scalar> &a) const
+{
+    if (a.rows() != rows_ || a.cols() != cols_)
+        return false;
+    for (Index i = 0; i < nbar_; ++i)
+        for (Index j = 0; j < mbar_; ++j)
+            if (!blocks_[static_cast<std::size_t>(i * mbar_ + j)]
+                     .transform()
+                     .holdsBytesOf(DenseWindow<Scalar>(
+                         a, i * w_, j * w_, w_, w_)))
+                return false;
+    return true;
+}
+
 BlockNoFeedbackResult
 BlockNoFeedbackPlan::run(const Vec<Scalar> &x,
                          const Vec<Scalar> &b) const

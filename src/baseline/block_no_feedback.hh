@@ -56,6 +56,10 @@ class BlockNoFeedbackPlan
      */
     BlockNoFeedbackPlan(const Dense<Scalar> &a, Index w);
 
+    /** True when the per-block plans bind exactly the bytes of
+     *  @p a (MatVecTransform::holdsBytesOf on each block window). */
+    bool holdsBytesOf(const Dense<Scalar> &a) const;
+
     /** Execute y = A·x + b, one isolated array run per block. */
     BlockNoFeedbackResult run(const Vec<Scalar> &x,
                               const Vec<Scalar> &b) const;

@@ -56,6 +56,43 @@ MatVecTransform::MatVecTransform(const DenseWindow<Scalar> &a, Index w)
     }
 }
 
+bool
+MatVecTransform::holdsBytesOf(const DenseWindow<Scalar> &a) const
+{
+    if (a.rows() != dims_.n || a.cols() != dims_.m)
+        return false;
+    const Index w = dims_.w;
+    const Index mbar = dims_.mbar;
+    const Index stored_cols = a.storedCols();
+    const Scalar *band = abar_.raw();
+    auto same = [](const Scalar *p, const Scalar *q, Index count) {
+        return sameRowBytes(p, count, q, count, 1, count);
+    };
+    // Band row i of block row k = r·m̄ + s holds row r·w + i of A from
+    // column s·w + i on: the w − i elements of Ū_k, then the i of L̄_k,
+    // which continue the same row into block column s + 1 — one run
+    // of w elements — except for s = m̄ − 1, whose L̄_k wraps back to
+    // block column 0.
+    for (Index row = 0; row < a.storedRows(); ++row) {
+        const Index r = row / w;
+        const Index i = row % w;
+        const Scalar *src = a.row(row);
+        for (Index s = 0; s < mbar; ++s) {
+            const Scalar *dst = band + ((r * mbar + s) * w + i) * w;
+            const Index c0 = s * w + i;
+            if (s + 1 < mbar) {
+                if (!same(src + c0, dst, std::min(w, stored_cols - c0)))
+                    return false;
+            } else if (!same(src + c0, dst,
+                             std::min(w - i, stored_cols - c0)) ||
+                       !same(src, dst + w - i, std::min(i, stored_cols))) {
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
 BSource
 MatVecTransform::bSourceOf(Index k) const
 {

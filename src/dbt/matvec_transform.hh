@@ -144,6 +144,15 @@ class MatVecTransform
     Vec<Scalar> extractY(const Vec<Scalar> &ybar) const;
 
     /**
+     * True when the band holds exactly the bytes of @p a (same shape
+     * as the transformed matrix): each stored row of A is compared,
+     * run by run, with the band rows the DBT placed it in. Positions
+     * in A's zero padding are never read. Bytes, not values (see
+     * sameRowBytes).
+     */
+    bool holdsBytesOf(const DenseWindow<Scalar> &a) const;
+
+    /**
      * Check the paper's conditions 1-3 on the block sequence plus
      * the filled-band property (the latter only when all blocks of
      * the padded matrix are fully nonzero).

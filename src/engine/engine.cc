@@ -199,6 +199,15 @@ PreparedPlan::PreparedPlan(const EnginePlan &plan)
 {
 }
 
+bool
+PreparedPlan::sameShape(const EnginePlan &plan) const
+{
+    return plan.kind == kind_ && plan.w == w_ && plan.a.rows() == rows_ &&
+           plan.a.cols() == cols_ &&
+           (kind_ != ProblemKind::MatMul ||
+            (plan.bmat.rows() == cols_ && plan.bmat.cols() == out_cols_));
+}
+
 void
 PreparedPlan::validateInputs(const EngineInputs &in) const
 {
@@ -232,6 +241,14 @@ class GenericPrepared : public PreparedPlan
     {
     }
 
+    bool
+    bindsSameOperands(const EnginePlan &p) const override
+    {
+        return sameShape(p) && sameDenseBytes(plan.a, p.a) &&
+               (p.kind != ProblemKind::MatMul ||
+                sameDenseBytes(plan.bmat, p.bmat));
+    }
+
     EnginePlan plan;
 };
 
@@ -242,6 +259,12 @@ class MatVecPrepared : public PreparedPlan
     explicit MatVecPrepared(const EnginePlan &p)
         : PreparedPlan(p), plan(p.a, p.w)
     {
+    }
+
+    bool
+    bindsSameOperands(const EnginePlan &p) const override
+    {
+        return sameShape(p) && plan.transform().holdsBytesOf(p.a);
     }
 
     MatVecPlan plan;
@@ -256,6 +279,14 @@ class MatMulPrepared : public PreparedPlan
     {
     }
 
+    bool
+    bindsSameOperands(const EnginePlan &p) const override
+    {
+        return sameShape(p) &&
+               plan.transform().aBlocks().holdsBytesOf(p.a) &&
+               plan.transform().bBlocks().holdsBytesOf(p.bmat);
+    }
+
     MatMulPlan plan;
 };
 
@@ -266,6 +297,12 @@ class MeshPrepared : public PreparedPlan
     explicit MeshPrepared(const EnginePlan &p)
         : PreparedPlan(p), plan(p.a, p.bmat, p.w)
     {
+    }
+
+    bool
+    bindsSameOperands(const EnginePlan &p) const override
+    {
+        return sameShape(p) && plan.holdsBytesOf(p.a, p.bmat);
     }
 
     MeshMatMulPlan plan;
@@ -280,6 +317,16 @@ class TriSolvePrepared : public PreparedPlan
     {
     }
 
+    /** L's entries right of the diagonal blocks are not part of the
+     *  binding: the plan does not store them and the solve never
+     *  reads them, so L's differing only there share one plan
+     *  (TriSolvePlan::holdsBytesOf). */
+    bool
+    bindsSameOperands(const EnginePlan &p) const override
+    {
+        return sameShape(p) && plan.holdsBytesOf(p.a);
+    }
+
     TriSolvePlan plan;
 };
 
@@ -290,6 +337,12 @@ class NoFeedbackPrepared : public PreparedPlan
     explicit NoFeedbackPrepared(const EnginePlan &p)
         : PreparedPlan(p), plan(p.a, p.w)
     {
+    }
+
+    bool
+    bindsSameOperands(const EnginePlan &p) const override
+    {
+        return sameShape(p) && plan.holdsBytesOf(p.a);
     }
 
     BlockNoFeedbackPlan plan;

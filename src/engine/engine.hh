@@ -234,9 +234,24 @@ class PreparedPlan
     /** Shape-check @p in against the bound matrix (asserts). */
     void validateInputs(const EngineInputs &in) const;
 
+    /**
+     * True when this plan was prepared from exactly the bound
+     * operands of @p plan (A, and B for MatMul) at the same kind and
+     * w. The plan's own storage is the ground truth: the request's
+     * bytes are compared run by run with where the DBT placed them,
+     * so a plan cache needs no copy of the operands to confirm a
+     * digest match. Bytes, not values: a NaN matches its own bit
+     * pattern and −0.0 does not match +0.0 (sameDenseBytes).
+     */
+    virtual bool bindsSameOperands(const EnginePlan &plan) const = 0;
+
   protected:
     /** Capture the shape contract of @p plan. */
     explicit PreparedPlan(const EnginePlan &plan);
+
+    /** True when @p plan has this plan's kind, w and bound operand
+     *  shapes: the precondition of every bindsSameOperands compare. */
+    bool sameShape(const EnginePlan &plan) const;
 
   private:
     ProblemKind kind_;

@@ -58,6 +58,17 @@ class BlockPartition
     /** The zero-padded matrix. */
     const Dense<T> &padded() const { return padded_; }
 
+    /** True when the partition was built from exactly the bytes of
+     *  @p a (sameRowBytes over the unpadded corner; the zero padding
+     *  is not read). */
+    bool
+    holdsBytesOf(const Dense<T> &a) const
+    {
+        return a.rows() == orig_rows_ && a.cols() == orig_cols_ &&
+               sameRowBytes(a.raw(), a.cols(), padded_.raw(),
+                            padded_.cols(), a.rows(), a.cols());
+    }
+
     /** Copy of block (i, j) as a w-by-w dense matrix. */
     Dense<T>
     block(Index i, Index j) const

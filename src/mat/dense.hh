@@ -12,6 +12,7 @@
 #define SAP_MAT_DENSE_HH
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "base/logging.hh"
@@ -194,6 +195,45 @@ class DenseWindow
     Index r0_, c0_;
     Index rows_, cols_;
 };
+
+/**
+ * True when @p rows rows of @p cols elements hold identical bytes: row
+ * r at @p a + r·@p lda and at @p b + r·@p ldb. Bytes, not values: a
+ * NaN matches its own bit pattern and −0.0 does not match +0.0. Two
+ * packed operands (both strides equal to @p cols) take one memcmp.
+ */
+template <typename T>
+bool
+sameRowBytes(const T *a, Index lda, const T *b, Index ldb, Index rows,
+             Index cols)
+{
+    // An empty operand may have no storage; memcmp wants pointers.
+    if (rows <= 0 || cols <= 0)
+        return true;
+    const std::size_t row_bytes =
+        static_cast<std::size_t>(cols) * sizeof(T);
+    if (lda == cols && ldb == cols)
+        return std::memcmp(a, b, row_bytes *
+                                     static_cast<std::size_t>(rows)) == 0;
+    for (Index r = 0; r < rows; ++r, a += lda, b += ldb)
+        if (std::memcmp(a, b, row_bytes) != 0)
+            return false;
+    return true;
+}
+
+/**
+ * True when @p a and @p b have one shape and identical element bytes
+ * (see sameRowBytes) — exactly what the plan cache's digest hashes,
+ * so an operand always finds the plan built from it.
+ */
+template <typename T>
+bool
+sameDenseBytes(const Dense<T> &a, const Dense<T> &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           sameRowBytes(a.raw(), a.cols(), b.raw(), b.cols(), a.rows(),
+                        a.cols());
+}
 
 /** Largest absolute element-wise difference between two matrices. */
 template <typename T>

@@ -6,8 +6,6 @@
 
 namespace sap {
 
-#if SAP_EVENT_LOOP_EPOLL
-
 namespace {
 
 std::uint32_t
@@ -112,96 +110,5 @@ EventLoop::backendName()
 {
     return "epoll";
 }
-
-#else // poll() fallback
-
-EventLoop::EventLoop() = default;
-
-EventLoop::~EventLoop() = default;
-
-bool
-EventLoop::valid() const
-{
-    return true;
-}
-
-bool
-EventLoop::set(int fd, std::uint32_t interest, std::uint64_t key)
-{
-    if (interest == 0) {
-        remove(fd);
-        return true;
-    }
-    Entry &e = entries_[fd];
-    if (e.interest != interest || e.key != key) {
-        e = {interest, key};
-        pfds_dirty_ = true;
-    }
-    return true;
-}
-
-void
-EventLoop::remove(int fd)
-{
-    if (entries_.erase(fd) != 0)
-        pfds_dirty_ = true;
-}
-
-bool
-EventLoop::watched(int fd) const
-{
-    return entries_.count(fd) != 0;
-}
-
-int
-EventLoop::wait(int timeout_ms)
-{
-    ready_.clear();
-    if (pfds_dirty_) {
-        pfds_.clear();
-        pfd_keys_.clear();
-        pfds_.reserve(entries_.size());
-        pfd_keys_.reserve(entries_.size());
-        for (const auto &entry : entries_) {
-            short events = 0;
-            if (entry.second.interest & kRead)
-                events |= POLLIN;
-            if (entry.second.interest & kWrite)
-                events |= POLLOUT;
-            pfds_.push_back({entry.first, events, 0});
-            pfd_keys_.push_back(entry.second.key);
-        }
-        pfds_dirty_ = false;
-    }
-    for (struct pollfd &p : pfds_)
-        p.revents = 0;
-    if (pfds_.empty() && timeout_ms < 0)
-        return 0;
-    int n = ::poll(pfds_.data(), static_cast<nfds_t>(pfds_.size()),
-                   timeout_ms);
-    if (n <= 0)
-        return 0; // timeout, or EINTR — the caller re-waits
-    ready_.reserve(static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < pfds_.size(); ++i) {
-        if (pfds_[i].revents == 0)
-            continue;
-        Ready r;
-        r.key = pfd_keys_[i];
-        r.readable = (pfds_[i].revents & POLLIN) != 0;
-        r.writable = (pfds_[i].revents & POLLOUT) != 0;
-        r.error = (pfds_[i].revents & (POLLERR | POLLNVAL)) != 0;
-        r.hangup = (pfds_[i].revents & POLLHUP) != 0;
-        ready_.push_back(r);
-    }
-    return n;
-}
-
-const char *
-EventLoop::backendName()
-{
-    return "poll";
-}
-
-#endif // SAP_EVENT_LOOP_EPOLL
 
 } // namespace sap

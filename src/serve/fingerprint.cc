@@ -124,17 +124,6 @@ fingerprintDenseBytes(const void *elems, Index rows, Index cols)
                      shapeSeed(rows, cols));
 }
 
-bool
-sameDenseBytes(const Dense<Scalar> &a, const Dense<Scalar> &b)
-{
-    if (a.rows() != b.rows() || a.cols() != b.cols())
-        return false;
-    const std::size_t bytes =
-        static_cast<std::size_t>(a.rows() * a.cols()) * sizeof(Scalar);
-    // An empty matrix may have no storage; memcmp wants pointers.
-    return bytes == 0 || std::memcmp(a.raw(), b.raw(), bytes) == 0;
-}
-
 Digest
 fingerprintVec(const Vec<Scalar> &v)
 {

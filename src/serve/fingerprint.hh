@@ -8,15 +8,17 @@
  * 64-bit xxHash64 hashes over the raw element bytes, seeded with the
  * shape: four 64-bit lanes take 32 bytes per step, so a 256² operand
  * hashes at memory speed. They are an index, not a proof — the cache
- * always confirms a digest match with an exact byte comparison
- * (sameDenseBytes), so a hash collision costs a probe, never a wrong
- * plan.
+ * always confirms a digest match by comparing the request's bytes
+ * with the cached plan's own storage
+ * (PreparedPlan::bindsSameOperands), so a hash collision costs a
+ * probe, never a wrong plan.
  *
  * Contract: a digest is a routing and cache hint internal to one
  * build. Nothing persists it, and no two builds need agree on it: a
  * gateway and a backend from different builds disagree only on which
  * backend and cache slot a matrix lands in, so they lose cache hits,
- * never correctness (PlanCache::entryMatches compares full matrices).
+ * never correctness (PlanCache::entryMatches checks every bound
+ * operand byte the plan holds).
  */
 
 #ifndef SAP_SERVE_FINGERPRINT_HH
@@ -45,14 +47,6 @@ Digest fingerprintDense(const Dense<Scalar> &a);
  * the same elements.
  */
 Digest fingerprintDenseBytes(const void *elems, Index rows, Index cols);
-
-/**
- * True when @p a and @p b have one shape and identical element bytes
- * — exactly what fingerprintDense hashes. Unlike Dense::operator==
- * (value equality), a NaN matches its own bit pattern and −0.0 does
- * not match +0.0, so an operand always finds the plan built from it.
- */
-bool sameDenseBytes(const Dense<Scalar> &a, const Dense<Scalar> &b);
 
 /** Hash of the raw element bytes of @p v, seeded with its length. */
 Digest fingerprintVec(const Vec<Scalar> &v);

@@ -47,9 +47,7 @@ PlanCache::entryMatches(const Entry &e, const std::string &engine_name,
                         const EnginePlan &plan) const
 {
     return e.engine == engine_name && e.kind == plan.kind &&
-           e.w == plan.w && sameDenseBytes(e.a, plan.a) &&
-           (plan.kind != ProblemKind::MatMul ||
-            sameDenseBytes(e.bmat, plan.bmat));
+           e.w == plan.w && e.plan->bindsSameOperands(plan);
 }
 
 std::shared_ptr<const PreparedPlan>
@@ -115,21 +113,13 @@ PlanCache::prepareKeyed(const SystolicEngine &engine,
     if (capacity_ == 0)
         return {built, /*hit=*/false};
 
+    Entry e{digest, engine_name, plan.kind, plan.w, built};
     std::lock_guard<std::mutex> lock(mutex_);
     // Another thread may have inserted the same key meanwhile;
     // prefer the incumbent so the cache holds one plan per matrix.
     if (auto cached = lookupLocked(digest, engine_name, plan))
         return {cached, /*hit=*/false};
 
-    Entry e;
-    e.digest = digest;
-    e.engine = engine_name;
-    e.kind = plan.kind;
-    e.w = plan.w;
-    e.a = plan.a;
-    if (plan.kind == ProblemKind::MatMul)
-        e.bmat = plan.bmat;
-    e.plan = built;
     lru_.push_front(std::move(e));
     index_.emplace(digest, lru_.begin());
     while (lru_.size() > capacity_)

@@ -11,10 +11,12 @@
  * matrices) with LRU eviction.
  *
  * Collision safety: a digest match is only a candidate; the cache
- * confirms every hit with an exact element-wise comparison of the
- * bound matrices, so distinct matrices that collide in the hash
- * never share a plan (counted in stats().collisions). The hash
- * function is injectable for tests to force this path.
+ * confirms every hit by comparing the request's bound matrices, byte
+ * for byte, with the cached plan's own storage
+ * (PreparedPlan::bindsSameOperands), so distinct matrices that
+ * collide in the hash never share a plan (counted in
+ * stats().collisions). The hash function is injectable for tests to
+ * force this path.
  *
  * Thread-safety: all public members are safe to call concurrently.
  * Plan construction runs outside the lock, so two threads missing on
@@ -88,9 +90,10 @@ Digest combinePlanDigest(const std::string &engine_name,
  *
  * Ownership: entries hold shared_ptr<const PreparedPlan>, so a plan
  * returned by prepare() remains valid after eviction or clear() —
- * eviction only drops the cache's reference. The cache also keeps a
- * copy of the bound matrices as the collision-check ground truth,
- * so its memory footprint is capacity × (plan + operands).
+ * eviction only drops the cache's reference. The plans are the only
+ * copy of the bound matrices the cache holds — a hit is verified
+ * against the plan itself — so its memory footprint is
+ * capacity × plan.
  */
 class PlanCache
 {
@@ -154,10 +157,6 @@ class PlanCache
         std::string engine;
         ProblemKind kind;
         Index w;
-        // Bound operand copies: the ground truth a digest match is
-        // verified against (bmat is empty for MatVec plans).
-        Dense<Scalar> a;
-        Dense<Scalar> bmat;
         std::shared_ptr<const PreparedPlan> plan;
     };
     using Lru = std::list<Entry>;

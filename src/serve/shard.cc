@@ -74,8 +74,8 @@ matchesOracle(const EnginePlan &plan, const EngineRunResult &r)
 
 /**
  * True when two requests bind identical plans: same engine, kind,
- * array size, and byte-identical bound matrices (sameDenseBytes, as
- * the plan cache compares). This is the exact-compare backstop
+ * array size, and byte-identical bound matrices (sameDenseBytes, the
+ * byte semantics of the plan cache's check). This is the backstop
  * behind digest-keyed batch grouping — two requests whose digests
  * collide must not share a prepared plan.
  */

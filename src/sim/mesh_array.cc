@@ -98,6 +98,18 @@ MeshMatMulPlan::MeshMatMulPlan(const Dense<Scalar> &a,
     b_padded_ = b.paddedTo(pbar_ * w, mbar_ * w);
 }
 
+bool
+MeshMatMulPlan::holdsBytesOf(const Dense<Scalar> &a,
+                             const Dense<Scalar> &b) const
+{
+    return a.rows() == n_ && a.cols() == p_ && b.rows() == p_ &&
+           b.cols() == m_ &&
+           sameRowBytes(a.raw(), p_, a_padded_.raw(), a_padded_.cols(),
+                        n_, p_) &&
+           sameRowBytes(b.raw(), m_, b_padded_.raw(), b_padded_.cols(),
+                        p_, m_);
+}
+
 MeshRunResult
 MeshMatMulPlan::run(const Dense<Scalar> &e, bool record_trace) const
 {

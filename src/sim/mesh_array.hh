@@ -130,6 +130,12 @@ class MeshMatMulPlan
     /** @copydoc nbar() */
     Index mbar() const { return mbar_; }
 
+    /** True when this plan binds exactly the bytes of @p a and @p b
+     *  (sameRowBytes against the unpadded corners of the padded
+     *  copies; the padding is not read). */
+    bool holdsBytesOf(const Dense<Scalar> &a,
+                      const Dense<Scalar> &b) const;
+
     /**
      * Execute C = A·B + E.
      *

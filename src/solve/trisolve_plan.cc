@@ -49,6 +49,34 @@ TriSolvePlan::TriSolvePlan(const Dense<Scalar> &l, Index w)
             DenseWindow<Scalar>(l, r * w_, 0, w_, r * w_), w_);
 }
 
+bool
+TriSolvePlan::holdsBytesOf(const Dense<Scalar> &l) const
+{
+    // The plan holds block row r's panel [L_{r,0} … L_{r,r−1}] and
+    // its whole diagonal block L_{r,r}, and is compared in exactly
+    // those positions. L's entries right of the diagonal blocks are
+    // not stored and never enter the solve, so two L's differing only
+    // there bind one plan (and give one y). The padded diagonal
+    // entries, patched to 1, lie past the stored rows and are not
+    // compared.
+    if (l.rows() != n_ || l.cols() != n_)
+        return false;
+    for (Index r = 0; r < nbar_; ++r) {
+        const Index stored = std::min(w_, n_ - r * w_);
+        if (!sameRowBytes(l.raw() + r * w_ * n_ + r * w_, n_,
+                          diag_[static_cast<std::size_t>(r)].raw(), w_,
+                          stored, stored))
+            return false;
+        if (r > 0 &&
+            !panels_[static_cast<std::size_t>(r - 1)]
+                 .transform()
+                 .holdsBytesOf(
+                     DenseWindow<Scalar>(l, r * w_, 0, w_, r * w_)))
+            return false;
+    }
+    return true;
+}
+
 TriSolvePlanResult
 TriSolvePlan::run(const Vec<Scalar> &b, bool record_trace) const
 {

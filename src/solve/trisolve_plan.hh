@@ -74,6 +74,14 @@ class TriSolvePlan
     Index nbar() const { return nbar_; }
 
     /**
+     * True when this plan binds the same L as @p l, byte for byte, in
+     * every position it stores: the panels left of each diagonal
+     * block and the diagonal blocks themselves. L's entries right of
+     * the diagonal blocks are not part of the binding (see the .cc).
+     */
+    bool holdsBytesOf(const Dense<Scalar> &l) const;
+
+    /**
      * Solve L·y = b on the simulated arrays.
      *
      * @param b Right-hand side (length n).

@@ -329,14 +329,127 @@ TEST(PlanCache, SignedZeroIsADistinctBinding)
         cache.prepare(*engine, EnginePlan::matVec(pos, x, b, 3)).hit);
 }
 
+/** @p m with the lowest byte of element (r, c) flipped. */
+Dense<Scalar>
+withOneByteFlipped(Dense<Scalar> m, Index r, Index c)
+{
+    unsigned char bytes[sizeof(Scalar)];
+    std::memcpy(bytes, &m(r, c), sizeof(Scalar));
+    bytes[0] ^= 1;
+    std::memcpy(&m(r, c), bytes, sizeof(Scalar));
+    return m;
+}
+
+TEST(PlanCache, OneByteDifferenceMissesOnEveryEngine)
+{
+    // Under one forced digest the plan's own storage is the only
+    // thing telling operands apart: a single flipped byte anywhere in
+    // a bound operand must miss and build its own plan. n and m are
+    // not multiples of w, so the last block row and column are
+    // partial (and their padding must not be mistaken for data).
+    const Index n = 10, m = 7, p = 6, w = 4;
+    const Dense<Scalar> a = randomIntDense(n, m, 191);
+    const Dense<Scalar> bm = randomIntDense(m, p, 192);
+    const Dense<Scalar> l = randomUnitLowerTriangular(n, 193);
+    const Vec<Scalar> x = randomIntVec(m, 194), b = randomIntVec(n, 195);
+    for (const std::string &name : engineNames()) {
+        SCOPED_TRACE("engine " + name);
+        auto engine = makeEngine(name);
+        const ProblemKind kind = engine->kind();
+        // Every bound element the plan reads: all of A (and B), and
+        // for TriSolve L on and below the diagonal.
+        auto planOf = [&](const Dense<Scalar> &a_or_l,
+                          const Dense<Scalar> &b_mat) {
+            return kind == ProblemKind::MatVec
+                ? EnginePlan::matVec(a_or_l, x, b, w)
+                : kind == ProblemKind::MatMul
+                ? EnginePlan::matMul(a_or_l, b_mat, w)
+                : EnginePlan::triSolve(a_or_l, b, w);
+        };
+        const Dense<Scalar> &base = kind == ProblemKind::TriSolve ? l : a;
+        auto expectMiss = [&](const EnginePlan &changed) {
+            PlanCache cache(8, [](const Dense<Scalar> &) {
+                return Digest{7};
+            });
+            PlanCache::Prepared first =
+                cache.prepare(*engine, planOf(base, bm));
+            PlanCache::Prepared other = cache.prepare(*engine, changed);
+            EXPECT_FALSE(other.hit);
+            EXPECT_NE(first.plan.get(), other.plan.get());
+            EXPECT_TRUE(cache.prepare(*engine, planOf(base, bm)).hit);
+        };
+        for (Index r = 0; r < base.rows(); ++r) {
+            for (Index c = 0; c < base.cols(); ++c) {
+                if (kind == ProblemKind::TriSolve && c > r)
+                    continue;
+                SCOPED_TRACE(testing::Message() << "A(" << r << "," << c
+                                                << ")");
+                expectMiss(planOf(withOneByteFlipped(base, r, c), bm));
+            }
+        }
+        if (kind != ProblemKind::MatMul)
+            continue;
+        for (Index r = 0; r < bm.rows(); ++r) {
+            for (Index c = 0; c < bm.cols(); ++c) {
+                SCOPED_TRACE(testing::Message() << "B(" << r << "," << c
+                                                << ")");
+                expectMiss(planOf(a, withOneByteFlipped(bm, r, c)));
+            }
+        }
+    }
+}
+
+TEST(PlanCache, TriPlanIgnoresLRightOfItsDiagonalBlocks)
+{
+    // The tri plan stores the panels left of each diagonal block and
+    // the diagonal blocks; L's entries right of them are neither
+    // stored nor read. Under one digest, two L's differing only there
+    // share one plan, and the shared plan gives each the same y.
+    const Index n = 10, w = 4;
+    auto engine = makeEngine("tri");
+    PlanCache cache(8, [](const Dense<Scalar> &) { return Digest{7}; });
+    Dense<Scalar> l1 = randomUnitLowerTriangular(n, 201);
+    Dense<Scalar> l2 = l1;
+    l2(1, 9) = 123.0; // block row 0, block column 2
+    l2(5, 8) = -7.5;  // block row 1, block column 2
+    Vec<Scalar> b = randomIntVec(n, 202);
+    EnginePlan p1 = EnginePlan::triSolve(l1, b, w);
+    EnginePlan p2 = EnginePlan::triSolve(l2, b, w);
+
+    PlanCache::Prepared c1 = cache.prepare(*engine, p1);
+    PlanCache::Prepared c2 = cache.prepare(*engine, p2);
+    EXPECT_FALSE(c1.hit);
+    EXPECT_TRUE(c2.hit);
+    EXPECT_EQ(c1.plan.get(), c2.plan.get());
+    EXPECT_EQ(cache.size(), 1u);
+
+    for (ExecMode mode : {ExecMode::Simulate, ExecMode::Fast}) {
+        SCOPED_TRACE(execModeName(mode));
+        p1.mode = mode;
+        p2.mode = mode;
+        EngineRunResult own = engine->run(p2);
+        EngineInputs in = EngineInputs::of(p2);
+        EngineRunResult shared = engine->runPrepared(*c2.plan, in);
+        ASSERT_EQ(own.y.size(), shared.y.size());
+        EXPECT_EQ(std::memcmp(own.y.raw(), shared.y.raw(),
+                              own.y.data().size() * sizeof(Scalar)),
+                  0);
+        EngineRunResult first = engine->run(p1);
+        EXPECT_EQ(std::memcmp(first.y.raw(), own.y.raw(),
+                              own.y.data().size() * sizeof(Scalar)),
+                  0);
+    }
+}
+
 TEST(PlanCache, RetainedBytesStayBounded)
 {
-    // Heap retained by one cache entry (its operand copies plus the
-    // prepared plan). Measured with closed-form cycle schedules, which
-    // keep no per-cycle tables: linear 256² w=64 1035 KiB (512 KiB
-    // operand copy + 512 KiB band), hex 24² w=8 99 KiB. Bounds are
-    // those values plus a 10% margin; plans that stored their event
-    // schedules held 2072 KiB and 320 KiB.
+    // Heap retained by one cache entry: the prepared plan, which is
+    // also the ground truth a hit is verified against, so the entry
+    // holds no operand copy. Measured: linear 256² w=64 514–515 KiB
+    // (the 512 KiB band), hex 24² w=8 89–90 KiB, tri 256² w=16
+    // 280–284 KiB, mesh 128² w=16 256 KiB (the padded A and B). Bounds
+    // are the largest of those plus a 10% margin; entries that also
+    // copied the bound operands held 1027, 99, 796 and 512 KiB.
     if (heapBytesInUse() < 0)
         GTEST_SKIP() << "no mallinfo2 (non-glibc or sanitizer build)";
     struct Case
@@ -345,17 +458,28 @@ TEST(PlanCache, RetainedBytesStayBounded)
         Index n, w;
         double boundKib;
     };
-    for (const Case &c : {Case{"linear", 256, 64, 1140.0},
-                          Case{"hex", 24, 8, 110.0}}) {
+    for (const Case &c : {Case{"linear", 256, 64, 566.0},
+                          Case{"hex", 24, 8, 99.0},
+                          Case{"tri", 256, 16, 313.0},
+                          Case{"mesh", 128, 16, 282.0}}) {
         SCOPED_TRACE(c.engine);
         auto engine = makeEngine(c.engine);
         auto planFor = [&](std::uint64_t seed) {
-            Dense<Scalar> a = randomIntDense(c.n, c.n, seed);
-            return engine->kind() == ProblemKind::MatMul
-                ? EnginePlan::matMul(a, randomIntDense(c.n, c.n, seed + 1),
-                                     c.w)
-                : EnginePlan::matVec(a, randomIntVec(c.n, seed + 1),
-                                     randomIntVec(c.n, seed + 2), c.w);
+            switch (engine->kind()) {
+              case ProblemKind::MatMul:
+                return EnginePlan::matMul(
+                    randomIntDense(c.n, c.n, seed),
+                    randomIntDense(c.n, c.n, seed + 1), c.w);
+              case ProblemKind::TriSolve:
+                return EnginePlan::triSolve(
+                    randomUnitLowerTriangular(c.n, seed),
+                    randomIntVec(c.n, seed + 1), c.w);
+              default:
+                return EnginePlan::matVec(
+                    randomIntDense(c.n, c.n, seed),
+                    randomIntVec(c.n, seed + 1),
+                    randomIntVec(c.n, seed + 2), c.w);
+            }
         };
         PlanCache cache(4);
         // Warm up any lazily allocated state on the prepare path.

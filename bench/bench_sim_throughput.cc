@@ -16,9 +16,11 @@
 #include <cstdio>
 
 #include "base/heap.hh"
+#include "base/math_util.hh"
 #include "dbt/matmul_plan.hh"
 #include "dbt/matvec_plan.hh"
 #include "mat/generate.hh"
+#include "semantics/mesh_kernel.hh"
 #include "sim/mesh_array.hh"
 #include "solve/trisolve_plan.hh"
 
@@ -239,6 +241,43 @@ BM_MeshArrayCyclesPerSec(benchmark::State &state)
         static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MeshArrayCyclesPerSec)->Arg(2)->Arg(4)->Arg(8);
+
+/**
+ * The mesh Fast kernel alone on an s² real-valued problem at array
+ * side w: range(2) = 0 times the dispatched instantiation (what
+ * MeshMatMulPlan::runSemantics runs), 1 the portable one. Reports
+ * dense-equivalent GMAC/s (s³ multiply-adds per call).
+ */
+void
+BM_MeshFastKernel(benchmark::State &state)
+{
+    const Index s = state.range(0), w = state.range(1);
+    const bool portable = state.range(2) != 0;
+    const Index sp = ceilDiv(s, w) * w;
+    const Dense<Scalar> a = randomRealDense(s, s, 1).paddedTo(sp, sp);
+    const Dense<Scalar> b = randomRealDense(s, s, 2).paddedTo(sp, sp);
+    const Dense<Scalar> e = randomRealDense(s, s, 3);
+    Dense<Scalar> c = e;
+    const MeshKernelFn kernel = portable ? meshKernelPortable : meshKernel;
+    for (auto _ : state) {
+        kernel(s, s, sp, sp, a.raw(), b.raw(), c.raw());
+        benchmark::DoNotOptimize(c.raw());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(portable                ? "portable"
+                   : meshKernelAvx2()      ? "dispatched=avx2"
+                                           : "dispatched=portable");
+    state.counters["GMAC/s"] = benchmark::Counter(
+        static_cast<double>(s * s * s) * 1e-9 *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_MeshFastKernel)
+    ->ArgNames({"s", "w", "portable"})
+    ->Args({32, 8, 0})
+    ->Args({32, 8, 1})
+    ->Args({128, 16, 0})
+    ->Args({128, 16, 1});
 
 void
 BM_TriArrayCyclesPerSec(benchmark::State &state)

@@ -17,7 +17,7 @@
  * build. Nothing persists it, and no two builds need agree on it: a
  * gateway and a backend from different builds disagree only on which
  * backend and cache slot a matrix lands in, so they lose cache hits,
- * never correctness (PlanCache::entryMatches checks every bound
+ * never correctness (PlanCache::firstMatch checks every bound
  * operand byte the plan holds).
  */
 

@@ -42,35 +42,57 @@ PlanCache::digestOf(const std::string &engine_name,
     return planDigest(engine_name, plan, hash_);
 }
 
-bool
-PlanCache::entryMatches(const Entry &e, const std::string &engine_name,
-                        const EnginePlan &plan) const
+std::vector<PlanCache::Entry>
+PlanCache::candidatesLocked(Digest digest) const
 {
-    return e.engine == engine_name && e.kind == plan.kind &&
-           e.w == plan.w && e.plan->bindsSameOperands(plan);
+    std::vector<Entry> out;
+    auto range = index_.equal_range(digest);
+    for (auto it = range.first; it != range.second; ++it)
+        out.push_back(*it->second);
+    return out;
+}
+
+std::shared_ptr<const PreparedPlan>
+PlanCache::firstMatch(const std::vector<Entry> &candidates,
+                      const std::string &engine_name,
+                      const EnginePlan &plan, bool *collided)
+{
+    for (const Entry &e : candidates) {
+        if (e.engine == engine_name && e.kind == plan.kind &&
+            e.w == plan.w && e.plan->bindsSameOperands(plan))
+            return e.plan;
+        // A non-matching probe under the same digest is a hash
+        // collision even when a later entry matches.
+        *collided = true;
+    }
+    return nullptr;
+}
+
+void
+PlanCache::promoteLocked(Digest digest, const PreparedPlan *plan)
+{
+    auto range = index_.equal_range(digest);
+    for (auto it = range.first; it != range.second; ++it) {
+        if (it->second->plan.get() == plan) {
+            lru_.splice(lru_.begin(), lru_, it->second);
+            return;
+        }
+    }
+    // Evicted since the candidates were copied: nothing to promote.
 }
 
 std::shared_ptr<const PreparedPlan>
 PlanCache::lookupLocked(Digest digest, const std::string &engine_name,
                         const EnginePlan &plan)
 {
-    auto range = index_.equal_range(digest);
-    bool probed = false;
-    for (auto it = range.first; it != range.second; ++it) {
-        if (entryMatches(*it->second, engine_name, plan)) {
-            // A non-matching probe under the same digest is a hash
-            // collision even when a later entry matches.
-            if (probed)
-                ++stats_.collisions;
-            // Promote to most-recently-used.
-            lru_.splice(lru_.begin(), lru_, it->second);
-            return it->second->plan;
-        }
-        probed = true;
-    }
-    if (probed)
+    bool collided = false;
+    std::shared_ptr<const PreparedPlan> found =
+        firstMatch(candidatesLocked(digest), engine_name, plan, &collided);
+    if (collided)
         ++stats_.collisions;
-    return nullptr;
+    if (found)
+        promoteLocked(digest, found.get());
+    return found;
 }
 
 PlanCache::Prepared
@@ -96,10 +118,25 @@ PlanCache::prepareKeyed(const SystolicEngine &engine,
 {
     const std::string engine_name = engine.name();
 
+    // Copy the candidates out and compare outside the lock: the
+    // byte compare reads every bound operand, and the shard's workers
+    // must not serialize on it. The copies' shared_ptrs keep each
+    // plan valid if it is evicted meanwhile.
+    std::vector<Entry> candidates;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (auto cached = lookupLocked(digest, engine_name, plan)) {
+        candidates = candidatesLocked(digest);
+    }
+    bool collided = false;
+    std::shared_ptr<const PreparedPlan> cached =
+        firstMatch(candidates, engine_name, plan, &collided);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (collided)
+            ++stats_.collisions;
+        if (cached) {
             ++stats_.hits;
+            promoteLocked(digest, cached.get());
             return {cached, /*hit=*/true};
         }
         ++stats_.misses;

@@ -19,9 +19,10 @@
  * force this path.
  *
  * Thread-safety: all public members are safe to call concurrently.
- * Plan construction runs outside the lock, so two threads missing on
- * the same key may both build; the first insertion wins and the
- * loser's plan serves only its own request.
+ * The hit check's byte compare runs outside the lock, on copies of
+ * the candidate entries. Plan construction runs outside it too, so
+ * two threads missing on the same key may both build; the first
+ * insertion wins and the loser's plan serves only its own request.
  */
 
 #ifndef SAP_SERVE_PLAN_CACHE_HH
@@ -32,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "engine/engine.hh"
 #include "serve/fingerprint.hh"
@@ -166,9 +168,21 @@ class PlanCache
     /** The shared lookup/insert path; trusts @p digest as the key. */
     Prepared prepareKeyed(const SystolicEngine &engine,
                           const EnginePlan &plan, Digest digest);
-    bool entryMatches(const Entry &e, const std::string &engine_name,
-                      const EnginePlan &plan) const;
-    /** Lookup under lock_; promotes the entry on hit. */
+    /** Copies of the entries under @p digest, in index order. */
+    std::vector<Entry> candidatesLocked(Digest digest) const;
+    /** The first of @p candidates whose plan binds @p plan on
+     *  @p engine_name, or nullptr; sets *collided when a candidate
+     *  before it (or any, when none matches) does not. Takes no
+     *  lock. */
+    static std::shared_ptr<const PreparedPlan>
+    firstMatch(const std::vector<Entry> &candidates,
+               const std::string &engine_name, const EnginePlan &plan,
+               bool *collided);
+    /** Move the entry holding @p plan under @p digest to the front;
+     *  no-op when it has been evicted. */
+    void promoteLocked(Digest digest, const PreparedPlan *plan);
+    /** candidatesLocked + firstMatch + promoteLocked, all under
+     *  mutex_, counting a collision. */
     std::shared_ptr<const PreparedPlan>
     lookupLocked(Digest digest, const std::string &engine_name,
                  const EnginePlan &plan);

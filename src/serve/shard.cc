@@ -72,6 +72,16 @@ matchesOracle(const EnginePlan &plan, const EngineRunResult &r)
     return r.y.size() == gold.size() && maxAbsDiff(r.y, gold) == 0.0;
 }
 
+/** One instance of every registered engine, by name. */
+std::map<std::string, std::unique_ptr<SystolicEngine>>
+makeEngineTable()
+{
+    std::map<std::string, std::unique_ptr<SystolicEngine>> table;
+    for (const std::string &name : engineNames())
+        table.emplace(name, makeEngine(name));
+    return table;
+}
+
 /**
  * True when two requests bind identical plans: same engine, kind,
  * array size, and byte-identical bound matrices (sameDenseBytes, the
@@ -125,7 +135,8 @@ formulaCycles(const std::string &engine_name, const EnginePlan &plan)
 } // namespace
 
 Shard::Shard(const Options &opts)
-    : opts_(opts), cache_(opts.planCacheCapacity), pool_(opts.threads)
+    : opts_(opts), cache_(opts.planCacheCapacity),
+      engines_(makeEngineTable()), pool_(opts.threads)
 {
     if (opts_.metrics) {
         metrics_ = std::make_unique<MetricsRegistry>();
@@ -284,17 +295,10 @@ Shard::submitBatch(std::vector<std::pair<ServeRequest, Digest>> reqs)
 }
 
 const SystolicEngine *
-Shard::engineFor(const std::string &name)
+Shard::engineFor(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(engines_mutex_);
     auto it = engines_.find(name);
-    if (it != engines_.end())
-        return it->second.get();
-    std::unique_ptr<SystolicEngine> engine = makeEngine(name);
-    if (!engine)
-        return nullptr;
-    return engines_.emplace(name, std::move(engine))
-        .first->second.get();
+    return it == engines_.end() ? nullptr : it->second.get();
 }
 
 ServeResponse

@@ -30,7 +30,6 @@
 #include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -220,8 +219,10 @@ class Shard
                          std::chrono::steady_clock::time_point t0);
     /** Serve one same-digest group through a shared prepared plan. */
     void serveGroup(Digest digest, std::vector<Job> &jobs);
-    /** Lazily instantiated shared engine instances, by name. */
-    const SystolicEngine *engineFor(const std::string &name);
+    /** The shared engine instance registered as @p name, or nullptr
+     *  for an unknown name. Lock-free: engines_ is read-only after
+     *  construction. */
+    const SystolicEngine *engineFor(const std::string &name) const;
 
     /** Hot-path instruments resolved once at construction, so
      *  recording never pays the registry's name lookup. All null
@@ -247,8 +248,10 @@ class Shard
     std::unique_ptr<MetricsRegistry> metrics_;
     Instruments inst_;
 
-    std::mutex engines_mutex_;
-    std::map<std::string, std::unique_ptr<SystolicEngine>> engines_;
+    /** One instance of every registered engine, built at
+     *  construction. */
+    const std::map<std::string, std::unique_ptr<SystolicEngine>>
+        engines_;
 
     /** Declared last: destroyed first, so workers drain while every
      *  other member is still alive. */

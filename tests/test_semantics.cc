@@ -10,13 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "analysis/sweep.hh"
 #include "base/error.hh"
 #include "base/math_util.hh"
 #include "engine/registry.hh"
 #include "mat/generate.hh"
+#include "semantics/mesh_kernel.hh"
 #include "serve/batch.hh"
 #include "serve/shard.hh"
+#include "sim/mesh_array.hh"
 #include "solve/trisolve_plan.hh"
 
 namespace sap {
@@ -208,6 +213,76 @@ TEST(SemanticsBitIdentity, TriSolveEngineMatchesSimulatorOnStandardSweep)
             expectAllEqual(rows);
         }
     }
+}
+
+//---------------------------------------------------------------------
+// Mesh kernel instantiations, each against the simulator
+//---------------------------------------------------------------------
+
+/**
+ * Run @p kernel on the real-valued matmul sweep plus shapes whose
+ * rows and columns leave tile tails, and require C bit-equal to the
+ * cycle simulation. Row 0 of A and of the preload E are −0.0 and
+ * column 0 of B is non-negative, so C(0, 0) stays −0 through the
+ * real steps; where p is not a multiple of w only the padded
+ * (+0)·(+0) steps turn it into +0, as the array does.
+ */
+void
+expectMeshKernelMatchesSimulator(MeshKernelFn kernel)
+{
+    std::vector<MatMulConfig> shapes = standardMatMulSweep();
+    shapes.push_back({8, 19, 29, 23});
+    shapes.push_back({4, 37, 5, 41});
+    shapes.push_back({16, 128, 128, 128});
+    for (const MatMulConfig &cfg : shapes) {
+        const std::uint64_t seed =
+            61 + static_cast<std::uint64_t>(cfg.n + cfg.p + cfg.m);
+        Dense<Scalar> a = randomRealDense(cfg.n, cfg.p, seed);
+        Dense<Scalar> b = randomRealDense(cfg.p, cfg.m, seed + 1);
+        Dense<Scalar> e = randomRealDense(cfg.n, cfg.m, seed + 2);
+        for (Index t = 0; t < cfg.p; ++t) {
+            a(0, t) = -0.0;
+            b(t, 0) = std::fabs(b(t, 0));
+        }
+        for (Index j = 0; j < cfg.m; ++j)
+            e(0, j) = -0.0;
+
+        const Dense<Scalar> sim = MeshMatMulPlan(a, b, cfg.w).run(e).c;
+
+        const Index ptot = ceilDiv(cfg.p, cfg.w) * cfg.w;
+        const Index ldb = ceilDiv(cfg.m, cfg.w) * cfg.w;
+        const Dense<Scalar> a_padded =
+            a.paddedTo(ceilDiv(cfg.n, cfg.w) * cfg.w, ptot);
+        const Dense<Scalar> b_padded = b.paddedTo(ptot, ldb);
+        Dense<Scalar> c = e;
+        kernel(cfg.n, cfg.m, ptot, ldb, a_padded.raw(), b_padded.raw(),
+               c.raw());
+
+        const std::string label = std::to_string(cfg.n) + "x" +
+                                  std::to_string(cfg.p) + "x" +
+                                  std::to_string(cfg.m) +
+                                  " w=" + std::to_string(cfg.w);
+        ASSERT_EQ(sim.rows(), c.rows()) << label;
+        ASSERT_EQ(sim.cols(), c.cols()) << label;
+        EXPECT_EQ(std::memcmp(sim.raw(), c.raw(),
+                              sizeof(Scalar) *
+                                  static_cast<std::size_t>(cfg.n * cfg.m)),
+                  0)
+            << label << ": C not bit-equal to the simulator";
+    }
+}
+
+TEST(SemanticsMeshKernel, PortableMatchesSimulatorBitForBit)
+{
+    expectMeshKernelMatchesSimulator(meshKernelPortable);
+}
+
+TEST(SemanticsMeshKernel, Avx2MatchesSimulatorBitForBit)
+{
+    MeshKernelFn avx2 = meshKernelAvx2();
+    if (!avx2)
+        GTEST_SKIP() << "no AVX2 instantiation on this build or CPU";
+    expectMeshKernelMatchesSimulator(avx2);
 }
 
 //---------------------------------------------------------------------

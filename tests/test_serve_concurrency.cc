@@ -198,5 +198,58 @@ TEST(ServeConcurrency, PlanCacheSurvivesConcurrentMixedKeys)
     EXPECT_LE(cache.size(), 3u);
 }
 
+TEST(PlanCacheConcurrency, HitsOnOneDigestRaceEvictionChurn)
+{
+    // Every matrix hashes to Digest{7}, so the hitters' entry and the
+    // churner's share one candidate list: hitters compare outside the
+    // lock while the churner inserts, collides and evicts, and a hit
+    // may promote an entry that was evicted after its candidates were
+    // copied.
+    const Index s = 6, w = 3;
+    const int kHitters = 3, kHitsEach = 200, kChurn = 200;
+    auto engine = makeEngine("linear");
+    PlanCache cache(3, [](const Dense<Scalar> &) { return Digest{7}; });
+
+    const Dense<Scalar> a = randomIntDense(s, s, 71);
+    const Vec<Scalar> x = randomIntVec(s, 72), b = randomIntVec(s, 73);
+    const EnginePlan hot = EnginePlan::matVec(a, x, b, w);
+    const Vec<Scalar> gold = matVec(a, x, b);
+
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kHitters; ++t) {
+        threads.emplace_back([&] {
+            for (int i = 0; i < kHitsEach; ++i) {
+                PlanCache::Prepared cached = cache.prepare(*engine, hot);
+                EngineRunResult r = engine->runPrepared(
+                    *cached.plan, EngineInputs::matVec(x, b));
+                if (!cached.plan->bindsSameOperands(hot) ||
+                    maxAbsDiff(r.y, gold) != 0.0)
+                    ++mismatches;
+            }
+        });
+    }
+    threads.emplace_back([&] {
+        for (int i = 0; i < kChurn; ++i) {
+            EnginePlan cold = EnginePlan::matVec(
+                randomIntDense(s, s, 100 + static_cast<std::uint64_t>(i % 8)),
+                x, b, w);
+            if (!cache.prepare(*engine, cold).plan->bindsSameOperands(cold))
+                ++mismatches;
+        }
+    });
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(mismatches.load(), 0);
+    const PlanCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses,
+              static_cast<std::uint64_t>(kHitters * kHitsEach + kChurn));
+    EXPECT_GT(stats.hits, 0u);
+    EXPECT_GT(stats.evictions, 0u);
+    EXPECT_GT(stats.collisions, 0u);
+    EXPECT_LE(cache.size(), 3u);
+}
+
 } // namespace
 } // namespace sap

@@ -90,10 +90,10 @@ measure(const ObsConfig &cfg, int clients, int rounds, int batch,
         opts.metrics = cfg.metrics;
         opts.trace.enabled = cfg.trace;
         opts.trace.sampleEvery = cfg.sampleEvery;
-        opts.adminEnabled = cfg.admin;
+        opts.admin.enabled = cfg.admin;
         // Fast enough that the sampler provably ticks (and contends
         // for the registry mutexes) during the timed region.
-        opts.samplerIntervalSeconds = 0.25;
+        opts.admin.samplerIntervalSeconds = 0.25;
         NetServer server(opts);
         SAP_ASSERT(server.start(), "obs bench server failed to start");
 

@@ -150,9 +150,9 @@ healthzDrill(bool tiny)
     NetServer::Options opts;
     opts.cluster.shards = 1;
     opts.cluster.threadsPerShard = 1;
-    opts.adminEnabled = true;
-    opts.health.degradedQueueDepth = 2;
-    opts.health.unhealthyQueueDepth = 8;
+    opts.admin.enabled = true;
+    opts.admin.health.degradedQueueDepth = 2;
+    opts.admin.health.unhealthyQueueDepth = 8;
     NetServer server(opts);
     if (!server.start()) {
         std::printf("healthz drill server failed: %s\n",
@@ -161,7 +161,7 @@ healthzDrill(bool tiny)
     }
     std::printf("\nhealthz drill (1 shard x 1 worker, unhealthy at "
                 "queue depth %.0f):\n",
-                opts.health.unhealthyQueueDepth);
+                opts.admin.health.unhealthyQueueDepth);
     std::printf("  before burst:  GET /healthz -> %d\n",
                 httpGet(server.adminPort(), "/healthz", nullptr));
 
@@ -234,8 +234,8 @@ main()
     opts.trace.enabled = true;
     opts.trace.sampleEvery = 4;    // 1-in-4: demo wants visible traces
     opts.trace.slowMicros = 50000; // always commit + warn-log >=50ms
-    opts.adminEnabled = true;
-    opts.samplerIntervalSeconds = 0.1; // fast ticks for the demo
+    opts.admin.enabled = true;
+    opts.admin.samplerIntervalSeconds = 0.1; // fast ticks for the demo
     NetServer server(opts);
     if (!server.start()) {
         std::printf("server failed to start: %s\n",

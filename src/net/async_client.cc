@@ -3,80 +3,42 @@
 #include <cerrno>
 #include <cstring>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
+
+#include "net/listener.hh"
 
 namespace sap {
 
 AsyncClient::~AsyncClient()
 {
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
+    reset(State::Idle);
+}
+
+void
+AsyncClient::reset(State state)
+{
+    if (conn_.fd >= 0)
+        ::close(conn_.fd);
+    conn_ = Connection(-1, max_payload_);
+    state_ = state;
 }
 
 bool
 AsyncClient::connectStart(const std::string &host, std::uint16_t port)
 {
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    decoder_ = FrameDecoder(max_payload_);
-    out_.clear();
+    reset(State::Closed);
     error_.clear();
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    const std::string node = host == "localhost" ? "127.0.0.1" : host;
-    if (::inet_pton(AF_INET, node.c_str(), &addr.sin_addr) != 1) {
-        error_ = "unparseable IPv4 address '" + host + "'";
-        state_ = State::Closed;
-        return false;
-    }
-
-    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    if (fd < 0) {
-        error_ = std::string("socket: ") + std::strerror(errno);
-        state_ = State::Closed;
-        return false;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) == 0) {
-        // Loopback connects can complete synchronously.
-        fd_ = fd;
-        state_ = State::Connected;
-        return true;
-    }
-    if (errno != EINPROGRESS) {
-        error_ = std::string("connect: ") + std::strerror(errno);
-        ::close(fd);
-        state_ = State::Closed;
-        return false;
-    }
-    fd_ = fd;
-    state_ = State::Connecting;
-    return true;
+    bool connected = false;
+    conn_.fd = dialStart(host, port, &connected, &error_);
+    if (conn_.fd >= 0) // loopback connects can complete synchronously
+        state_ = connected ? State::Connected : State::Connecting;
+    return conn_.fd >= 0;
 }
 
 void
 AsyncClient::close()
 {
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    out_.clear();
-    state_ = State::Idle;
+    reset(State::Idle);
 }
 
 std::uint32_t
@@ -86,8 +48,7 @@ AsyncClient::desiredInterest() const
     case State::Connecting:
         return EventLoop::kWrite;
     case State::Connected:
-        return EventLoop::kRead |
-               (queuedBytes() > 0 ? EventLoop::kWrite : 0u);
+        return conn_.wantedInterest(true, SIZE_MAX);
     case State::Idle:
     case State::Closed:
         break;
@@ -100,82 +61,60 @@ AsyncClient::send(OutFrame frame)
 {
     if (state_ != State::Connecting && state_ != State::Connected)
         return;
-    out_.push(std::move(frame));
+    conn_.out.push(std::move(frame));
 }
 
 void
 AsyncClient::transportClosed(const std::string &reason)
 {
     error_ = reason;
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
     state_ = State::Closed;
-    if (onClosed)
-        onClosed(reason);
 }
 
 bool
 AsyncClient::flushSome()
 {
-    if (out_.flush(fd_) < 0) {
-        transportClosed(std::string("send: ") + std::strerror(errno));
+    if (conn_.out.flush(conn_.fd) < 0) {
+        transportClosed(errnoString("send"));
         return false;
     }
     return true;
 }
 
-bool
+void
 AsyncClient::readSome()
 {
-    for (;;) {
-        ssize_t n = decoder_.receive(fd_);
-        if (n > 0) {
-            for (;;) {
-                Frame frame;
-                std::string err;
-                FrameDecoder::Result res = decoder_.next(&frame, &err);
-                if (res == FrameDecoder::Result::Ok) {
-                    if (onFrame)
-                        onFrame(std::move(frame));
-                    // A callback may have close()d us.
-                    if (state_ != State::Connected)
-                        return false;
-                    continue;
-                }
-                if (res == FrameDecoder::Result::Malformed) {
-                    transportClosed("malformed server stream: " + err);
-                    return false;
-                }
-                break; // NeedMore
-            }
-            continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            return true;
-        if (n < 0 && errno == EINTR)
-            continue;
-        transportClosed(n == 0 ? "server closed the connection"
-                               : std::string("recv: ") +
-                                     std::strerror(errno));
-        return false;
+    std::string err;
+    switch (conn_.receive(
+        [this](Frame &&frame) {
+            if (onFrame)
+                onFrame(std::move(frame));
+            // A callback may have close()d us.
+            return state_ == State::Connected;
+        },
+        nullptr, &err)) {
+    case Connection::End::Drained:
+    case Connection::End::Stopped:
+        return;
+    case Connection::End::Malformed:
+        return transportClosed("malformed server stream: " + err);
+    case Connection::End::Eof:
+        return transportClosed("server closed the connection");
+    case Connection::End::Failed:
+        return transportClosed(errnoString("recv"));
     }
 }
 
 void
 AsyncClient::handleReady(const EventLoop::Ready &ev)
 {
-    if (fd_ < 0)
+    if (conn_.fd < 0)
         return;
 
     if (state_ == State::Connecting) {
         // Connect completion is reported as writability; failure as
         // error/hangup or a nonzero SO_ERROR.
-        int soerr = 0;
-        socklen_t len = sizeof(soerr);
-        if (::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &soerr, &len) != 0)
-            soerr = errno;
+        const int soerr = socketError(conn_.fd);
         if (ev.error || soerr != 0) {
             transportClosed(std::string("connect: ") +
                             std::strerror(soerr ? soerr : ECONNRESET));
@@ -197,9 +136,7 @@ AsyncClient::handleReady(const EventLoop::Ready &ev)
         return;
 
     if (ev.error) {
-        int soerr = 0;
-        socklen_t len = sizeof(soerr);
-        ::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &soerr, &len);
+        const int soerr = socketError(conn_.fd);
         transportClosed(std::string("socket error: ") +
                         std::strerror(soerr ? soerr : EIO));
         return;

@@ -10,27 +10,24 @@
  * is the same wire protocol restructured around an owner-provided
  * EventLoop (net/event_loop.hh):
  *
- *  - connectStart() issues a non-blocking connect and returns
- *    immediately; the owner watches fd() with desiredInterest() and
- *    learns the outcome through onConnected / onClosed;
+ *  - connectStart() issues a non-blocking connect (net/listener.hh
+ *    dialStart) and returns immediately; the owner watches fd() with
+ *    desiredInterest() and learns of completion through onConnected;
  *  - send() only queues a frame (net/protocol.hh OutQueue: header
  *    plus shared payload, never concatenated); bytes move when the
  *    loop reports the socket writable;
  *  - handleReady() drives the connection from one EventLoop::Ready
  *    record: it finishes the connect handshake, flushes pending
- *    output, reads until EAGAIN, and delivers every complete frame
- *    through onFrame.
+ *    output, and reads until EAGAIN (net/connection.hh), delivering
+ *    every complete frame through onFrame. When the transport dies
+ *    (EOF, error, malformed stream) state() turns Closed; the fd
+ *    stays open until the owner has unwatched it and called close().
  *
  * The owner re-installs desiredInterest() after every state change
  * (send, handleReady) — the mask covers kWrite exactly while the
  * handshake or unsent bytes are pending, so an idle connection costs
- * nothing per wakeup.
- *
- * Callbacks run synchronously inside handleReady() on the loop
- * thread. onClosed fires at most once, for both clean EOF and
- * transport errors; after it the client is in Closed state and the
- * fd is gone (the owner must EventLoop::remove() it first — see
- * handleReady()'s contract below).
+ * nothing per wakeup. Callbacks run synchronously inside
+ * handleReady() on the loop thread.
  *
  * Thread-safety: NONE. An AsyncClient belongs to the thread running
  * its owner's event loop.
@@ -42,8 +39,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
+#include "net/connection.hh"
 #include "net/event_loop.hh"
 #include "net/protocol.hh"
 
@@ -63,11 +60,11 @@ class AsyncClient
 
     explicit AsyncClient(
         std::uint32_t max_payload = kDefaultMaxPayloadBytes)
-        : max_payload_(max_payload), decoder_(max_payload)
+        : max_payload_(max_payload), conn_(-1, max_payload)
     {
     }
 
-    /** Closes the socket if still open (no callback). */
+    /** Closes the socket if still open. */
     ~AsyncClient();
 
     AsyncClient(const AsyncClient &) = delete;
@@ -77,31 +74,28 @@ class AsyncClient
     std::function<void()> onConnected;
     /** Fires per complete frame read off the stream. */
     std::function<void(Frame &&)> onFrame;
-    /** Fires once when the transport dies (EOF, error, malformed
-     *  stream); the fd is already closed when it runs. */
-    std::function<void(const std::string &reason)> onClosed;
 
     /**
      * Begin a non-blocking connect to @p host:@p port (IPv4 dotted
      * quad or "localhost"). On true the state is Connecting (or
      * already Connected for a same-host fast path) and fd() is valid
      * for watching. On false the state is Closed with lastError()
-     * set; no callback fires.
+     * set.
      *
      * Call on an Idle or Closed client only; re-using a client for a
      * reconnect resets the decoder and output queue.
      */
     bool connectStart(const std::string &host, std::uint16_t port);
 
-    /** Close without callbacks (owner-initiated teardown). The owner
+    /** Close the socket (owner-initiated, or after Closed). The owner
      *  must EventLoop::remove(fd()) first. State becomes Idle. */
     void close();
 
     State state() const { return state_; }
     bool connected() const { return state_ == State::Connected; }
 
-    /** The socket (−1 unless Connecting or Connected). */
-    int fd() const { return fd_; }
+    /** The socket (−1 when Idle, or when connectStart() failed). */
+    int fd() const { return conn_.fd; }
 
     /**
      * The EventLoop interest mask this connection currently needs:
@@ -116,20 +110,16 @@ class AsyncClient
      *  Connected — the owner decides how to handle a dead backend. */
     void send(OutFrame frame);
 
-    /** Bytes queued but not yet accepted by the kernel. */
-    std::size_t queuedBytes() const { return out_.queuedBytes(); }
-
     /**
      * Drive the connection from one readiness record (the owner
      * dispatches the Ready whose key it registered fd() under).
      *
-     * Contract: the owner must EventLoop::remove(fd()) BEFORE calling
-     * this when it intends to drop the connection, and after this
-     * returns it must either re-install desiredInterest() (still
-     * alive) or have removed the fd (state() == Closed closes it).
-     * handleReady() itself removes nothing — it has no loop pointer —
-     * so the owner's dispatch loop re-sets interest after every call
-     * (see net/gateway.cc).
+     * Contract: after this returns the owner either re-installs
+     * desiredInterest() (still alive) or, on state() == Closed,
+     * unwatches fd() and then calls close(). handleReady() never
+     * closes the fd itself: a number closed while still watched could
+     * be reused by another thread's socket before the owner unwatches
+     * it (see net/gateway.cc).
      */
     void handleReady(const EventLoop::Ready &ev);
 
@@ -137,20 +127,21 @@ class AsyncClient
     const std::string &lastError() const { return error_; }
 
   private:
-    /** Enter Closed, ::close() the fd, fire onClosed once. */
+    /** Close the fd, drop decoder and queued output, enter @p state. */
+    void reset(State state);
+    /** Record @p reason and enter Closed (the fd stays open). */
     void transportClosed(const std::string &reason);
-    /** Flush out_ until EAGAIN. @return false if the socket died
-     *  (transportClosed already ran). */
+    /** Flush the output queue until EAGAIN. @return false if the
+     *  socket died (transportClosed() already ran). */
     bool flushSome();
-    /** Read until EAGAIN, delivering frames. @return false if the
-     *  stream ended (transportClosed already ran). */
-    bool readSome();
+    /** Read until EAGAIN, delivering frames; transportClosed() when
+     *  the stream ends. */
+    void readSome();
 
     std::uint32_t max_payload_;
-    FrameDecoder decoder_;
+    /** The socket, decoder and output queue (net/connection.hh). */
+    Connection conn_;
     State state_ = State::Idle;
-    int fd_ = -1;
-    OutQueue out_;
     std::string error_;
 };
 

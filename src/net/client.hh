@@ -153,11 +153,17 @@ class NetClient
                               const WireResponse &resp);
 
   private:
-    /** Send all of @p bytes, polling on writability as needed. */
-    bool sendAll(const std::vector<std::uint8_t> &bytes);
-    /** Block (via poll) until one complete frame arrives. */
-    bool readFrame(Frame *out);
+    /** Block (via poll) until one complete frame arrives, flushing
+     *  @p out meanwhile: a pipeline whose send buffer fills can only
+     *  progress by reading responses while the rest trickles out. */
+    bool nextFrame(OutQueue &out, Frame *frame);
+    /** Send the request @p build makes under a fresh tag and read
+     *  its reply, which must be a @p type frame with that tag. */
+    bool exchange(std::vector<std::uint8_t> (*build)(std::uint64_t),
+                  FrameType type, Frame *reply);
     bool fail(const std::string &message);
+    /** Disconnect, then fail(). */
+    bool drop(const std::string &message);
 
     int fd_ = -1;
     int sndbuf_bytes_ = 0;

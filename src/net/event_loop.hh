@@ -1,7 +1,8 @@
 /**
  * @file
- * Level-triggered socket readiness multiplexer: the reusable IO core
- * under the net/ server, the gateway, and the async client mode.
+ * Level-triggered socket readiness multiplexer: the one IO core under
+ * the net/ server, the gateway, the async client mode and the HTTP
+ * admin server.
  *
  * A C10K front door cannot afford poll()'s per-call O(watched fds)
  * kernel copy: with ten thousand mostly-idle connections, every
@@ -21,11 +22,14 @@
  *    otherwise still report HUP/ERR for a registered fd and spin a
  *    loop that wants to ignore a half-dead socket);
  *  - error/hangup readiness is always delivered for watched fds,
- *    whatever the mask, exactly as the kernel does.
+ *    whatever the mask, exactly as the kernel does;
+ *  - the loop wakes itself: it owns one eventfd, wake() bumps it,
+ *    and wait() drains it internally, so any number of wakes between
+ *    two waits coalesce into one return and never show up in
+ *    ready().
  *
- * Thread-safety: NONE. An EventLoop belongs to the one thread that
- * wait()s on it; cross-thread wakeups go through a self-pipe
- * watched like any other fd (see net/server.cc, net/gateway.cc).
+ * Thread-safety: wake() may be called from any thread. Everything
+ * else belongs to the one thread that wait()s on the loop.
  */
 
 #ifndef SAP_NET_EVENT_LOOP_HH
@@ -66,8 +70,8 @@ class EventLoop
     EventLoop(const EventLoop &) = delete;
     EventLoop &operator=(const EventLoop &) = delete;
 
-    /** False when the kernel multiplexer could not be created
-     *  (epoll_create failure). */
+    /** False when the kernel multiplexer or its wake eventfd could
+     *  not be created. */
     bool valid() const;
 
     /**
@@ -85,18 +89,18 @@ class EventLoop
     /** True while @p fd is watched with nonzero interest. */
     bool watched(int fd) const;
 
-    /** Number of watched fds. */
-    std::size_t watchCount() const { return entries_.size(); }
-
     /**
-     * Block up to @p timeout_ms (-1 = forever) for readiness; the
-     * results land in ready(). @return the number of ready fds; 0 on
-     * timeout or EINTR (ready() is empty in both cases).
+     * Block up to @p timeout_ms (-1 = forever) for readiness or a
+     * wake(); the results land in ready(). @return the number of
+     * ready fds; 0 on timeout, wake or EINTR (ready() is empty).
      */
     int wait(int timeout_ms);
 
     /** The fds the last wait() reported ready. */
     const std::vector<Ready> &ready() const { return ready_; }
+
+    /** End the current (or the next) wait() early. Thread-safe. */
+    void wake();
 
     /** The kernel multiplexer's name ("epoll"), for logs and bench
      *  provenance. */
@@ -113,6 +117,7 @@ class EventLoop
     std::vector<Ready> ready_;
 
     int epfd_ = -1;
+    int wakefd_ = -1;
     std::vector<struct epoll_event> events_;
 };
 

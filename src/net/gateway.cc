@@ -1,13 +1,8 @@
 #include "net/gateway.hh"
 
 #include <cerrno>
-#include <cstring>
 #include <utility>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -25,24 +20,10 @@ namespace {
 /** Wait period; bounds ping/reconnect tick granularity too. */
 constexpr int kWaitTimeoutMs = 50;
 
-/** Event-loop key layout: 0 = wake pipe, 1 = listen socket,
- *  kBackendKeyBase + i = backend i, client ids from next_conn_id_. */
-constexpr std::uint64_t kWakeKey = 0;
-constexpr std::uint64_t kListenKey = 1;
-constexpr std::uint64_t kBackendKeyBase = 2;
-
-bool
-setNonBlocking(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-std::string
-errnoString(const char *what)
-{
-    return std::string(what) + ": " + std::strerror(errno);
-}
+/** Event-loop key layout: 0 = listen socket, kBackendKeyBase + i =
+ *  backend i, clients above those. */
+constexpr std::uint64_t kListenKey = 0;
+constexpr std::uint64_t kBackendKeyBase = 1;
 
 /** " trace=<32hex>" when @p ctx is valid, "" otherwise — the log ↔
  *  trace correlation suffix for failover/resubmit lines. */
@@ -60,9 +41,12 @@ traceSuffix(const TraceContext &ctx)
 
 Gateway::Gateway(const Options &opts)
     : opts_(opts),
+      conns_(loop_, kBackendKeyBase + opts.backends.size(),
+             opts.maxPayloadBytes, opts.maxQueuedOutputBytes),
       metrics_(opts.metrics ? std::make_unique<MetricsRegistry>()
                             : nullptr),
-      collector_(opts.trace, metrics_.get())
+      collector_(opts.trace, metrics_.get()),
+      admin_(opts.admin, adminSources())
 {
     SAP_ASSERT(!opts_.backends.empty(),
                "gateway needs at least one backend");
@@ -112,84 +96,14 @@ Gateway::start()
         return false;
     }
 
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-        error_ = errnoString("socket");
+    if (!listener_.open(opts_.port, &error_))
         return false;
-    }
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(opts_.port);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0 ||
-        // Front-door backlog: a reconnect storm (every client of a
-        // restarted fleet at once) must queue, not shed SYNs onto
-        // 1-second client retry timers. Clamped to somaxconn by the
-        // kernel.
-        ::listen(listen_fd_, 1024) != 0 ||
-        !setNonBlocking(listen_fd_)) {
-        error_ = errnoString("bind/listen");
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        return false;
-    }
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) != 0) {
-        error_ = errnoString("getsockname");
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        return false;
-    }
-    port_ = ntohs(addr.sin_port);
-
-    if (::pipe(wake_pipe_) != 0 || !setNonBlocking(wake_pipe_[0]) ||
-        !setNonBlocking(wake_pipe_[1])) {
-        error_ = errnoString("pipe");
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        if (wake_pipe_[0] >= 0)
-            ::close(wake_pipe_[0]);
-        if (wake_pipe_[1] >= 0)
-            ::close(wake_pipe_[1]);
-        wake_pipe_[0] = wake_pipe_[1] = -1;
-        return false;
-    }
-
-    // Client ids must stay clear of the backend key range.
-    next_conn_id_ = std::max<std::uint64_t>(
-        16, kBackendKeyBase + backends_.size());
 
     // Admin plane before the IO thread (as NetServer): if its port
-    // cannot bind, start() fails with only sockets to unwind.
-    if (opts_.adminEnabled) {
-        health_ = std::make_unique<HealthModel>(opts_.health);
-        FlightRecorderConfig rc;
-        rc.intervalSeconds = opts_.samplerIntervalSeconds;
-        rc.retainSamples = opts_.samplerRetainSamples;
-        recorder_ = std::make_unique<FlightRecorder>(
-            [this] { return metricsSnapshot(); }, rc);
-        HttpAdminServer::Options admin_opts;
-        admin_opts.port = opts_.adminPort;
-        admin_ = std::make_unique<HttpAdminServer>(admin_opts);
-        registerAdminRoutes(*admin_);
-        if (!admin_->start()) {
-            error_ = "admin: " + admin_->error();
-            admin_.reset();
-            recorder_.reset();
-            health_.reset();
-            ::close(listen_fd_);
-            listen_fd_ = -1;
-            ::close(wake_pipe_[0]);
-            ::close(wake_pipe_[1]);
-            wake_pipe_[0] = wake_pipe_[1] = -1;
-            return false;
-        }
-        recorder_->start();
+    // cannot bind, start() fails with only the listener to unwind.
+    if (!admin_.start(&error_)) {
+        listener_.close();
+        return false;
     }
 
     exiting_.store(false);
@@ -202,7 +116,7 @@ Gateway::start()
     if (any_admin && opts_.healthzIntervalMs > 0)
         prober_thread_ = std::thread([this] { proberLoop(); });
 
-    SAP_LOG_INFO("gateway listening on 127.0.0.1:", port_, " over ",
+    SAP_LOG_INFO("gateway listening on 127.0.0.1:", port(), " over ",
                  backends_.size(), " backends (",
                  EventLoop::backendName(), ")");
     return true;
@@ -217,36 +131,28 @@ Gateway::stop()
     // Admin plane first: its /tracez handler round-trips through the
     // still-live data plane; stopping it before the IO thread keeps
     // that path well-defined.
-    if (admin_)
-        admin_->stop();
-    if (recorder_)
-        recorder_->stop();
+    admin_.stop();
     exiting_.store(true);
-    wakeIoThread();
+    loop_.wake();
     if (io_thread_.joinable())
         io_thread_.join();
     if (prober_thread_.joinable())
         prober_thread_.join();
-    if (listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
-    for (int i = 0; i < 2; ++i)
-        if (wake_pipe_[i] >= 0) {
-            ::close(wake_pipe_[i]);
-            wake_pipe_[i] = -1;
-        }
+    listener_.close();
     running_.store(false);
     stopped_ = true;
 }
 
 void
-Gateway::wakeIoThread()
+Gateway::count(std::uint64_t GatewayStats::*stat, Counter *counter,
+               std::uint64_t n)
 {
-    if (wake_pipe_[1] >= 0) {
-        std::uint8_t b = 1;
-        [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &b, 1);
+    {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        stats_.*stat += n;
     }
+    if (counter)
+        counter->add(n);
 }
 
 GatewayStats
@@ -287,12 +193,11 @@ void
 Gateway::tryConnect(std::size_t idx)
 {
     Backend &b = *backends_[idx];
-    const std::uint64_t key = kBackendKeyBase + idx;
     if (!b.conn.connectStart(b.addr.host, b.addr.port)) {
         b.reconnectWaitMs = opts_.reconnectIntervalMs;
         return;
     }
-    loop_.set(b.conn.fd(), b.conn.desiredInterest(), key);
+    updateBackendInterest(idx);
     if (b.conn.connected())
         sendLivenessPing(idx); // loopback can connect synchronously
 }
@@ -334,12 +239,9 @@ Gateway::backendDown(std::size_t idx, const std::string &reason)
 {
     Backend &b = *backends_[idx];
     const bool was_routable = b.routable;
-    if (b.conn.fd() >= 0) {
-        loop_.remove(b.conn.fd());
-        b.conn.close();
-    } else if (b.conn.state() == AsyncClient::State::Closed) {
-        b.conn.close(); // reset Closed → Idle for the reconnect path
-    }
+    if (b.conn.fd() >= 0)
+        loop_.remove(b.conn.fd()); // before close(): see EventLoop
+    b.conn.close();
     b.routable = false;
     b.pingOutstanding = false;
     b.missedPings = 0;
@@ -351,12 +253,7 @@ Gateway::backendDown(std::size_t idx, const std::string &reason)
     if (was_routable) {
         SAP_LOG_WARN("gateway: backend ", idx, " down (", reason,
                      "); failing over");
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.failovers;
-        }
-        if (inst_.failovers)
-            inst_.failovers->add();
+        count(&GatewayStats::failovers, inst_.failovers);
         rebuildRing();
     }
 
@@ -412,12 +309,7 @@ Gateway::backendDown(std::size_t idx, const std::string &reason)
             SAP_LOG_WARN("gateway: resubmitting request to backend ",
                          fl.backendIdx, " attempt ", fl.resubmits,
                          traceSuffix(fl.ctx));
-            {
-                std::lock_guard<std::mutex> lock(stats_mutex_);
-                ++stats_.resubmits;
-            }
-            if (inst_.resubmits)
-                inst_.resubmits->add();
+            count(&GatewayStats::resubmits, inst_.resubmits);
         } else {
             Inflight fl_copy = std::move(fl);
             inflight_.erase(gwtag);
@@ -467,8 +359,6 @@ Gateway::tryReconnects(int elapsed_ms)
         if (b.reconnectWaitMs > 0)
             continue;
         b.reconnectWaitMs = opts_.reconnectIntervalMs;
-        if (b.conn.state() == AsyncClient::State::Closed)
-            b.conn.close(); // reset to Idle
         tryConnect(i);
     }
 }
@@ -476,69 +366,6 @@ Gateway::tryReconnects(int elapsed_ms)
 //----------------------------------------------------------------------
 // Client side.
 //----------------------------------------------------------------------
-
-void
-Gateway::acceptReady()
-{
-    for (;;) {
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            if (errno != EAGAIN && errno != EWOULDBLOCK)
-                listen_backoff_ = 20; // ~1 s of wait periods
-            return;
-        }
-        if (!setNonBlocking(fd)) {
-            ::close(fd);
-            continue;
-        }
-        int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        std::uint64_t conn_id = next_conn_id_++;
-        auto [it, inserted] = conns_.emplace(
-            conn_id,
-            std::make_unique<ClientConn>(fd, opts_.maxPayloadBytes));
-        updateClientInterest(conn_id, *it->second);
-        if (inst_.clientsLive)
-            inst_.clientsLive->add(1);
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.connectionsAccepted;
-        }
-        SAP_LOG_DEBUG("gateway: conn ", conn_id, " accepted");
-    }
-}
-
-void
-Gateway::updateClientInterest(std::uint64_t conn_id, ClientConn &conn)
-{
-    const std::size_t queued = conn.out.queuedBytes();
-    std::uint32_t mask = 0;
-    if (!conn.closing && queued <= opts_.maxQueuedOutputBytes)
-        mask |= EventLoop::kRead;
-    if (queued > 0)
-        mask |= EventLoop::kWrite;
-    if (mask != conn.interest) {
-        loop_.set(conn.fd, mask, conn_id);
-        conn.interest = mask;
-    }
-}
-
-void
-Gateway::closeClientConn(std::uint64_t conn_id)
-{
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end())
-        return;
-    loop_.remove(it->second->fd);
-    ::close(it->second->fd);
-    conns_.erase(it);
-    closing_conns_.erase(conn_id);
-    if (inst_.clientsLive)
-        inst_.clientsLive->add(-1);
-    SAP_LOG_DEBUG("gateway: conn ", conn_id, " closed");
-}
 
 bool
 Gateway::clientOwedWork(std::uint64_t conn_id) const
@@ -555,67 +382,39 @@ Gateway::clientOwedWork(std::uint64_t conn_id) const
 void
 Gateway::sendToClient(std::uint64_t conn_id, OutFrame frame)
 {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end())
+    Connection *conn = conns_.find(conn_id);
+    if (conn == nullptr)
         return; // client went away; the reply is dropped
-    ClientConn &conn = *it->second;
-    conn.out.push(std::move(frame));
-    updateClientInterest(conn_id, conn);
+    conn->out.push(std::move(frame));
+    conns_.update(conn_id, *conn, true);
 }
 
 void
 Gateway::sendClientError(std::uint64_t conn_id, std::uint64_t tag,
                          const std::string &message)
 {
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.errorsReturned;
-    }
-    if (inst_.errors)
-        inst_.errors->add();
+    count(&GatewayStats::errorsReturned, inst_.errors);
     sendToClient(conn_id, buildErrorFrame(tag, message));
 }
 
 bool
-Gateway::readReady(std::uint64_t conn_id, ClientConn &conn)
+Gateway::readReady(std::uint64_t conn_id, Connection &conn)
 {
-    for (;;) {
-        if (conn.closing)
+    std::string err;
+    const Connection::End end = conn.receive(
+        [&](Frame &&frame) {
+            handleClientFrame(conn_id, std::move(frame));
             return true;
-        ssize_t n = conn.decoder.receive(conn.fd);
-        if (n > 0) {
-            for (;;) {
-                Frame frame;
-                std::string err;
-                FrameDecoder::Result res =
-                    conn.decoder.next(&frame, &err);
-                if (res == FrameDecoder::Result::NeedMore)
-                    break;
-                if (res == FrameDecoder::Result::Ok) {
-                    handleClientFrame(conn_id, conn,
-                                      std::move(frame));
-                    continue;
-                }
-                // Frame-level violation: ERROR, then close after
-                // the flush (same policy as NetServer).
-                SAP_LOG_WARN("gateway: conn ", conn_id,
-                             ": unrecoverable frame error: ", err);
-                sendClientError(conn_id, 0, err);
-                conn.closing = true;
-                return true;
-            }
-            continue;
-        }
-        if (n == 0) {
-            conn.closing = true;
-            return true;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return true;
-        if (errno == EINTR)
-            continue;
-        return false;
+        },
+        nullptr, &err);
+    if (end == Connection::End::Malformed) {
+        // Frame-level violation: ERROR, then close after the flush
+        // (same policy as NetServer).
+        SAP_LOG_WARN("gateway: conn ", conn_id,
+                     ": unrecoverable frame error: ", err);
+        sendClientError(conn_id, 0, err);
     }
+    return end != Connection::End::Failed;
 }
 
 //----------------------------------------------------------------------
@@ -628,12 +427,7 @@ Gateway::routeSubmit(std::uint64_t conn_id, std::uint64_t client_tag,
                      std::size_t offset, const TraceContext &ctx,
                      std::shared_ptr<RequestTrace> trace)
 {
-    if (inst_.requests)
-        inst_.requests->add();
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.requestsRouted;
-    }
+    count(&GatewayStats::requestsRouted, inst_.requests);
     if (ring_ == nullptr) {
         sendClientError(conn_id, client_tag, "no routable backend");
         if (trace) {
@@ -745,45 +539,35 @@ Gateway::admitTrace(TraceContext *ctx, const SubmitView &req)
 }
 
 void
-Gateway::handleClientFrame(std::uint64_t conn_id, ClientConn &conn,
-                           Frame &&frame)
+Gateway::handleClientFrame(std::uint64_t conn_id, Frame &&frame)
 {
-    (void)conn;
     const std::uint64_t tag = frame.header.tag;
     switch (frame.header.type) {
-    case static_cast<std::uint16_t>(FrameType::Submit): {
+    case static_cast<std::uint16_t>(FrameType::Submit):
+    case static_cast<std::uint16_t>(FrameType::Forward): {
         // Check with full wire strictness (bad payloads must not
         // reach a backend) and hash the operands where they lie; the
-        // payload buffer itself relays behind a FORWARD header.
-        SubmitView req;
-        std::string err;
-        if (!checkSubmit(frame.payload.data(), frame.payload.size(),
-                         &req, &err)) {
-            sendClientError(conn_id, tag, err);
-            return;
-        }
-        const Digest digest = submitDigest(req);
-        TraceContext ctx = req.traceContext;
-        std::shared_ptr<RequestTrace> trace = admitTrace(&ctx, req);
-        routeSubmit(conn_id, tag, digest,
-                    std::make_shared<const std::vector<std::uint8_t>>(
-                        std::move(frame.payload)),
-                    0, ctx, std::move(trace));
-        return;
-    }
-    case static_cast<std::uint16_t>(FrameType::Forward): {
-        // A gateway one tier up already computed the digest: check
-        // the embedded SUBMIT and route it, the old envelope skipped
-        // by offset — rings of rings compose.
+        // payload buffer itself relays behind a FORWARD header. A
+        // FORWARD from a gateway one tier up already carries its
+        // digest: its embedded SUBMIT is routed with the old envelope
+        // skipped by offset — rings of rings compose.
+        const bool forward =
+            frame.header.type ==
+            static_cast<std::uint16_t>(FrameType::Forward);
         Digest digest = 0;
         SubmitView req;
         std::size_t offset = 0;
         std::string err;
-        if (!checkForward(frame.payload.data(), frame.payload.size(),
-                          &digest, &req, &offset, &err)) {
+        if (!(forward ? checkForward(frame.payload.data(),
+                                     frame.payload.size(), &digest, &req,
+                                     &offset, &err)
+                      : checkSubmit(frame.payload.data(),
+                                    frame.payload.size(), &req, &err))) {
             sendClientError(conn_id, tag, err);
             return;
         }
+        if (!forward)
+            digest = submitDigest(req);
         TraceContext ctx = req.traceContext;
         std::shared_ptr<RequestTrace> trace = admitTrace(&ctx, req);
         routeSubmit(conn_id, tag, digest,
@@ -857,10 +641,7 @@ Gateway::handleBackendFrame(std::size_t idx, Frame &&frame)
                 std::chrono::duration<double, std::micro>(
                     std::chrono::steady_clock::now() - fl.start)
                     .count());
-        if (inst_.relayed)
-            inst_.relayed->add();
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.responsesRelayed;
+        count(&GatewayStats::responsesRelayed, inst_.relayed);
         return;
     }
     case static_cast<std::uint16_t>(FrameType::Ping): {
@@ -926,8 +707,6 @@ Gateway::ioLoop()
 {
     SAP_ASSERT(loop_.valid(), "event loop creation failed (",
                EventLoop::backendName(), ")");
-    loop_.set(wake_pipe_[0], EventLoop::kRead, kWakeKey);
-    loop_.set(listen_fd_, EventLoop::kRead, kListenKey);
 
     for (std::size_t i = 0; i < backends_.size(); ++i) {
         Backend &b = *backends_[i];
@@ -943,32 +722,12 @@ Gateway::ioLoop()
     auto last_ping = last_tick;
 
     while (!exiting_.load()) {
-        if (listen_backoff_ == 0) {
-            loop_.set(listen_fd_, EventLoop::kRead, kListenKey);
-        } else {
-            loop_.remove(listen_fd_);
-            --listen_backoff_;
-        }
+        listener_.watch(loop_, kListenKey, true);
 
-        // Close what is closing, flushed, and owed nothing (a client
-        // that pipelined SUBMITs and half-closed must survive until
-        // its responses relay).
-        for (auto it = closing_conns_.begin();
-             it != closing_conns_.end();) {
-            auto cit = conns_.find(*it);
-            if (cit == conns_.end()) {
-                it = closing_conns_.erase(it);
-                continue;
-            }
-            ClientConn &c = *cit->second;
-            if (c.out.empty() && !clientOwedWork(*it)) {
-                std::uint64_t id = *it;
-                ++it;
-                closeClientConn(id); // erases from closing_conns_
-            } else {
-                ++it;
-            }
-        }
+        conns_.sweep(
+            [this](std::uint64_t id) { return clientOwedWork(id); });
+        if (inst_.clientsLive)
+            inst_.clientsLive->set(static_cast<double>(conns_.size()));
 
         loop_.wait(kWaitTimeoutMs);
 
@@ -986,15 +745,9 @@ Gateway::ioLoop()
         tryReconnects(elapsed_ms);
 
         for (const EventLoop::Ready &ev : loop_.ready()) {
-            if (ev.key == kWakeKey) {
-                std::uint8_t drain[256];
-                while (::read(wake_pipe_[0], drain, sizeof(drain)) >
-                       0) {
-                }
-                continue;
-            }
             if (ev.key == kListenKey) {
-                acceptReady();
+                count(&GatewayStats::connectionsAccepted, nullptr,
+                      conns_.acceptAll(listener_, true));
                 continue;
             }
             if (ev.key >= kBackendKeyBase &&
@@ -1002,46 +755,34 @@ Gateway::ioLoop()
                 const std::size_t idx = static_cast<std::size_t>(
                     ev.key - kBackendKeyBase);
                 Backend &b = *backends_[idx];
-                const int fd = b.conn.fd();
-                if (fd < 0)
+                if (b.conn.fd() < 0)
                     continue; // went down earlier in this batch
                 b.conn.handleReady(ev);
-                if (b.conn.state() == AsyncClient::State::Closed) {
-                    loop_.remove(fd);
+                if (b.conn.state() == AsyncClient::State::Closed)
                     backendDown(idx, b.conn.lastError());
-                } else {
+                else
                     updateBackendInterest(idx);
-                }
                 continue;
             }
             const std::uint64_t conn_id = ev.key;
-            auto it = conns_.find(conn_id);
-            if (it == conns_.end())
+            Connection *conn = conns_.find(conn_id);
+            if (conn == nullptr)
                 continue; // closed earlier in this batch
-            ClientConn &conn = *it->second;
-            if (ev.error) {
-                closeClientConn(conn_id);
-                continue;
-            }
-            bool alive = true;
-            if (ev.writable)
-                alive = conn.out.flush(conn.fd) >= 0;
+            bool alive = !ev.error;
+            if (alive && ev.writable)
+                alive = conn->out.flush(conn->fd) >= 0;
             if (alive && (ev.readable || ev.hangup))
-                alive = readReady(conn_id, conn);
-            if (!alive) {
-                closeClientConn(conn_id);
-                continue;
-            }
-            updateClientInterest(conn_id, conn);
-            if (conn.closing)
-                closing_conns_.insert(conn_id);
+                alive = readReady(conn_id, *conn);
+            if (alive)
+                conns_.update(conn_id, *conn, true);
+            else
+                conns_.close(conn_id);
         }
     }
 
     // Teardown: drop every socket. In-flight requests die with their
     // connections (stop() is not a graceful drain; see gateway.hh).
-    while (!conns_.empty())
-        closeClientConn(conns_.begin()->first);
+    conns_.closeAll();
     for (auto &b : backends_) {
         if (b->conn.fd() >= 0)
             loop_.remove(b->conn.fd());
@@ -1057,148 +798,46 @@ Gateway::ioLoop()
 // The admin plane.
 //----------------------------------------------------------------------
 
-HealthReport
-Gateway::evaluateHealth() const
+AdminPlane::Sources
+Gateway::adminSources()
 {
-    HealthInputs in;
-    // "Serving" for a gateway means the front door is open AND at
-    // least one backend can take traffic.
-    in.serving = running_.load() && routable_count_.load() > 0;
-    {
+    AdminPlane::Sources src;
+    src.name = "sap gateway";
+    src.metrics = [this] { return metricsSnapshot(); };
+    src.health = [this] {
+        HealthInputs in;
+        // "Serving" for a gateway means the front door is open AND
+        // at least one backend can take traffic.
+        in.serving = running_.load() && routable_count_.load() > 0;
         std::lock_guard<std::mutex> lock(stats_mutex_);
         in.protocolErrors = stats_.errorsReturned;
-    }
-    if (recorder_)
-        in.p99Micros =
-            recorder_->latestValue("gateway_route_micros:p99");
-    in.nowSeconds = monotonicSeconds();
-    return health_->evaluate(in);
-}
-
-HealthReport
-Gateway::healthReport() const
-{
-    if (!health_) {
-        HealthReport report;
-        report.state = HealthState::Ok;
-        report.live = true;
-        report.ready = running_.load() && routable_count_.load() > 0;
-        return report;
-    }
-    return evaluateHealth();
-}
-
-bool
-Gateway::gatherTracesForAdmin(std::vector<RequestTrace> *out,
-                              std::uint64_t *total) const
-{
-    // Round-trip a TRACES frame through our own front door: the IO
-    // thread answers it with the gateway's rings plus a scatter-
-    // gather over every routable backend — exactly what a wire
-    // client would see. The admin worker thread blocks here; the IO
-    // thread does the serving, so there is no self-deadlock.
-    NetClient client(opts_.maxPayloadBytes);
-    if (!client.connect("127.0.0.1", port_))
-        return false;
-    return client.traces(out, total);
-}
-
-void
-Gateway::registerAdminRoutes(HttpAdminServer &admin)
-{
-    admin.addHandler("/", [](const HttpRequest &) {
-        HttpResponse resp;
-        resp.contentType = "text/html; charset=utf-8";
-        resp.body =
-            "<!doctype html><title>sap gateway admin</title>"
-            "<h1>sap gateway admin</h1><ul>"
-            "<li><a href=\"/metrics\">/metrics</a> — Prometheus "
-            "text exposition</li>"
-            "<li><a href=\"/healthz\">/healthz</a> — liveness "
-            "(200/503)</li>"
-            "<li><a href=\"/readyz\">/readyz</a> — readiness "
-            "(200/503)</li>"
-            "<li><a href=\"/tracez\">/tracez</a> — stitched "
-            "cross-tier traces (<a href=\"/tracez?format=chrome\">"
-            "Perfetto format</a>)</li>"
-            "<li><a href=\"/varz\">/varz</a> — full metrics "
-            "snapshot as JSON</li>"
-            "<li><a href=\"/timeseriesz\">/timeseriesz</a> — "
-            "flight-recorder time series</li>"
-            "</ul>";
-        return resp;
-    });
-    admin.addHandler("/metrics", [this](const HttpRequest &) {
-        HttpResponse resp;
-        resp.contentType = "text/plain; version=0.0.4; charset=utf-8";
-        resp.body = renderPrometheus(metricsSnapshot());
-        return resp;
-    });
-    admin.addHandler("/varz", [this](const HttpRequest &) {
-        HttpResponse resp;
-        resp.contentType = "application/json";
-        resp.body = renderMetricsJson(metricsSnapshot());
-        return resp;
-    });
-    admin.addHandler("/healthz", [this](const HttpRequest &) {
-        const HealthReport report = evaluateHealth();
-        HttpResponse resp;
-        resp.status = report.live ? 200 : 503;
-        resp.body = std::string(healthStateName(report.state));
-        if (!report.reason.empty())
-            resp.body += ": " + report.reason;
-        resp.body += "\n";
-        return resp;
-    });
-    admin.addHandler("/readyz", [this](const HttpRequest &) {
-        const HealthReport report = evaluateHealth();
-        HttpResponse resp;
-        resp.status = report.ready ? 200 : 503;
-        resp.body = std::string(report.ready ? "ready" : "not ready");
-        if (!report.reason.empty())
-            resp.body += ": " + report.reason;
-        resp.body += "\n";
-        return resp;
-    });
-    admin.addHandler("/tracez", [this](const HttpRequest &req) {
-        HttpResponse resp;
-        resp.contentType = "application/json";
-        std::uint64_t min_us = 0;
-        std::string kind, parse_err;
-        if (!parseTraceQuery(req.query, &min_us, &kind, &parse_err)) {
-            resp.status = 400;
-            resp.contentType = "text/plain; charset=utf-8";
-            resp.body = parse_err + "\n";
-            return resp;
-        }
+        return in;
+    };
+    src.p99Series = "gateway_route_micros:p99";
+    src.traces = [this](std::uint64_t *total) {
+        // Round-trip a TRACES frame through our own front door: the
+        // IO thread answers it with the gateway's rings plus a
+        // scatter-gather over every routable backend — exactly what
+        // a wire client would see. The admin thread blocks here; the
+        // IO thread does the serving, so there is no self-deadlock.
         std::vector<RequestTrace> traces;
-        std::uint64_t total = 0;
-        if (!gatherTracesForAdmin(&traces, &total)) {
+        NetClient client(opts_.maxPayloadBytes);
+        if (!client.connect("127.0.0.1", port()) ||
+            !client.traces(&traces, total)) {
             // Degraded: the gateway-only view still serves.
             traces = collector_.snapshot();
-            total = collector_.totalCommitted();
+            *total = collector_.totalCommitted();
         }
-        traces = filterTraces(std::move(traces), min_us, kind);
-        auto it = req.query.find("format");
-        if (it != req.query.end() && it->second == "chrome") {
-            // The multi-process view: pid 2 = gateway lane, pid 1 =
-            // backend lanes, joined by trace id in args.
-            resp.body = toChromeTraceJson(traces);
-            resp.extraHeaders.emplace_back(
-                "Content-Disposition",
-                "attachment; filename=\"sap_gateway_trace.json\"");
-        } else {
-            resp.body = toStitchedTracezJson(
-                stitchTraces(std::move(traces)), total);
-        }
-        return resp;
-    });
-    admin.addHandler("/timeseriesz", [this](const HttpRequest &) {
-        HttpResponse resp;
-        resp.contentType = "application/json";
-        resp.body = toTimeseriesJson(recorder_->snapshot());
-        return resp;
-    });
+        return traces;
+    };
+    // The multi-process view: backend and gateway lanes joined by
+    // trace id.
+    src.renderTracez = [](std::vector<RequestTrace> traces,
+                          std::uint64_t total) {
+        return toStitchedTracezJson(stitchTraces(std::move(traces)),
+                                    total);
+    };
+    return src;
 }
 
 //----------------------------------------------------------------------
@@ -1209,53 +848,22 @@ bool
 probeHealthz(const std::string &host, std::uint16_t admin_port,
              int timeout_ms)
 {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(admin_port);
-    const std::string node = host == "localhost" ? "127.0.0.1" : host;
-    if (::inet_pton(AF_INET, node.c_str(), &addr.sin_addr) != 1)
-        return false;
-    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    bool connected = false;
+    std::string err;
+    const int fd = dialStart(host, admin_port, &connected, &err);
     if (fd < 0)
         return false;
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0 &&
-        errno != EINPROGRESS) {
-        ::close(fd);
-        return false;
-    }
-    struct pollfd pfd = {fd, POLLOUT, 0};
-    if (::poll(&pfd, 1, timeout_ms) != 1) {
-        ::close(fd);
-        return false;
-    }
-    int soerr = 0;
-    socklen_t len = sizeof(soerr);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soerr, &len) != 0 ||
-        soerr != 0) {
+    if (!connected && !dialFinish(fd, timeout_ms, &err)) {
         ::close(fd);
         return false;
     }
 
+    // A fresh socket's empty send buffer takes the short request
+    // whole.
     const std::string request = "GET /healthz HTTP/1.1\r\nHost: " +
-                                node + "\r\nConnection: close\r\n\r\n";
-    std::size_t off = 0;
-    while (off < request.size()) {
-        ssize_t n = ::send(fd, request.data() + off,
-                           request.size() - off, MSG_NOSIGNAL);
-        if (n > 0) {
-            off += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && (errno == EINTR || errno == EAGAIN ||
-                      errno == EWOULDBLOCK)) {
-            pfd.events = POLLOUT;
-            if (::poll(&pfd, 1, timeout_ms) != 1) {
-                ::close(fd);
-                return false;
-            }
-            continue;
-        }
+                                host + "\r\nConnection: close\r\n\r\n";
+    if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(request.size())) {
         ::close(fd);
         return false;
     }
@@ -1263,20 +871,14 @@ probeHealthz(const std::string &host, std::uint16_t admin_port,
     // The verdict is in the status line; read until it is complete.
     std::string head;
     char buf[512];
-    for (;;) {
-        pfd.events = POLLIN;
-        if (::poll(&pfd, 1, timeout_ms) != 1)
-            break;
-        ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n > 0) {
+    struct pollfd pfd = {fd, POLLIN, 0};
+    while (head.find("\r\n") == std::string::npos &&
+           ::poll(&pfd, 1, timeout_ms) == 1) {
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n > 0)
             head.append(buf, static_cast<std::size_t>(n));
-            if (head.find("\r\n") != std::string::npos)
-                break;
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        break;
+        else if (n == 0 || errno != EINTR)
+            break;
     }
     ::close(fd);
     // "HTTP/1.1 200 OK" — Ok and Degraded both answer 200; only

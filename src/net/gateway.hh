@@ -52,14 +52,17 @@
  * same decision, and records its own gateway-tier trace (gw_decode →
  * gw_route → gw_forward → gw_relay_pop → gw_flush, plus failover /
  * resubmit point events carrying the attempt number). The embedded
- * admin plane (Options::adminEnabled) serves the same routes as
- * NetServer's plus a stitched /tracez: backend rings are gathered
- * over the wire and joined with the gateway's own by trace id, so
- * one request renders as two process lanes in Perfetto.
+ * admin plane (Options::admin, obs/admin_plane.hh) serves the same
+ * routes as NetServer's, with a stitched /tracez: backend rings are
+ * gathered over the wire and joined with the gateway's own by trace
+ * id, so one request renders as two process lanes in Perfetto.
  *
  * Thread-safety: start()/stop() serialize on a lifecycle mutex; the
  * stats/metrics accessors are safe from any thread. Everything else
- * lives on the gateway's one IO thread (net/event_loop.hh).
+ * lives on the gateway's one IO thread, which runs the same IO core
+ * as NetServer: an EventLoop (net/event_loop.hh) over a Listener
+ * (net/listener.hh), client Connections (net/connection.hh) and one
+ * AsyncClient per backend.
  */
 
 #ifndef SAP_NET_GATEWAY_HH
@@ -71,19 +74,18 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/router.hh"
 #include "net/async_client.hh"
+#include "net/connection.hh"
 #include "net/event_loop.hh"
+#include "net/listener.hh"
 #include "net/protocol.hh"
-#include "obs/health.hh"
-#include "obs/http_admin.hh"
+#include "obs/admin_plane.hh"
 #include "obs/metrics.hh"
-#include "obs/timeseries.hh"
 #include "obs/trace_ring.hh"
 
 namespace sap {
@@ -172,22 +174,10 @@ class Gateway
          * opted in) keeps it — sampling is decided exactly once.
          */
         TraceConfig trace;
-        /**
-         * Embedded HTTP admin plane (obs/http_admin.hh), mirroring
-         * NetServer's: /metrics, /varz, /healthz, /readyz,
-         * /timeseriesz, plus the stitched cross-tier /tracez that
-         * scatter-gathers backend trace rings and joins them with the
-         * gateway's own by trace id.
-         */
-        bool adminEnabled = false;
-        /** Admin TCP port; 0 binds an ephemeral port (adminPort()). */
-        std::uint16_t adminPort = 0;
-        /** Health state machine thresholds (obs/health.hh). */
-        HealthThresholds health;
-        /** Flight recorder sample interval (admin plane only). */
-        int samplerIntervalSeconds = 1;
-        /** Flight recorder ring capacity per series. */
-        std::size_t samplerRetainSamples = 300;
+        /** Embedded HTTP admin plane (obs/admin_plane.hh); its
+         *  /tracez scatter-gathers backend trace rings and stitches
+         *  them with the gateway's own by trace id. */
+        AdminOptions admin;
     };
 
     explicit Gateway(const Options &opts);
@@ -211,10 +201,8 @@ class Gateway
      *  dropped (their clients see a closed connection). */
     void stop();
 
-    bool running() const { return running_.load(); }
-
     /** The bound client-facing port (valid after start()). */
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return listener_.port(); }
 
     /** Why start() failed (empty otherwise). */
     const std::string &error() const { return error_; }
@@ -233,40 +221,21 @@ class Gateway
      *  in — the METRICS frame does that per request. */
     MetricsSnapshot metricsSnapshot() const;
 
-    /** The admin plane's bound TCP port (0 unless adminEnabled and
+    /** The admin plane's bound TCP port (0 unless admin.enabled and
      *  started). */
-    std::uint16_t adminPort() const
-    {
-        return admin_ ? admin_->port() : 0;
-    }
+    std::uint16_t adminPort() const { return admin_.port(); }
 
     /** Current health verdict (degenerate always-healthy report when
      *  the admin plane is off, as NetServer's). */
-    HealthReport healthReport() const;
+    HealthReport healthReport() const { return admin_.healthReport(); }
 
-    /** The gateway's own committed traces (not the backends'; the
-     *  TRACES frame and /tracez scatter-gather those per request). */
-    std::vector<RequestTrace> traceSnapshot() const
+    /** The flight recorder (null unless admin.enabled). */
+    const FlightRecorder *flightRecorder() const
     {
-        return collector_.snapshot();
+        return admin_.recorder();
     }
 
   private:
-    /** A client connection (same shape as NetServer's). */
-    struct ClientConn
-    {
-        int fd = -1;
-        FrameDecoder decoder;
-        OutQueue out;
-        bool closing = false;
-        std::uint32_t interest = 0;
-
-        ClientConn(int fd_in, std::uint32_t max_payload)
-            : fd(fd_in), decoder(max_payload)
-        {
-        }
-    };
-
     /** One backend: its async connection plus liveness state. All
      *  fields IO-thread-only except adminHealthy (prober writes). */
     struct Backend
@@ -340,10 +309,8 @@ class Gateway
 
     void ioLoop();
     void proberLoop();
-    void acceptReady();
-    bool readReady(std::uint64_t conn_id, ClientConn &conn);
-    void handleClientFrame(std::uint64_t conn_id, ClientConn &conn,
-                           Frame &&frame);
+    bool readReady(std::uint64_t conn_id, Connection &conn);
+    void handleClientFrame(std::uint64_t conn_id, Frame &&frame);
     void handleBackendFrame(std::size_t idx, Frame &&frame);
     /** Route a checked SUBMIT payload (@p payload from @p offset on)
      *  to its ring owner, FORWARDing @p ctx when valid and stamping
@@ -362,10 +329,7 @@ class Gateway
     void sendToClient(std::uint64_t conn_id, OutFrame frame);
     void sendClientError(std::uint64_t conn_id, std::uint64_t tag,
                          const std::string &message);
-    /** Install the client conn's interest mask (cf. NetServer). */
-    void updateClientInterest(std::uint64_t conn_id, ClientConn &conn);
     void updateBackendInterest(std::size_t idx);
-    void closeClientConn(std::uint64_t conn_id);
     /** Remove backend @p idx from the routable set, drop its
      *  connection if still open, re-ring, and migrate or fail its
      *  in-flight requests. */
@@ -383,21 +347,17 @@ class Gateway
     /** True while responses or gather replies are still owed to this
      *  client (a half-closed conn must survive until delivery). */
     bool clientOwedWork(std::uint64_t conn_id) const;
-    void wakeIoThread();
+    /** Add @p n to one GatewayStats field and its registry counter
+     *  (may be null). */
+    void count(std::uint64_t GatewayStats::*stat, Counter *counter,
+               std::uint64_t n = 1);
     /** Begin (or continue) tracing a request admitted at the front
      *  door: mint a context when none arrived and tracing is on,
      *  adopt it into a gateway-tier trace, stamp Decode. */
     std::shared_ptr<RequestTrace>
     admitTrace(TraceContext *ctx, const SubmitView &req);
-    /** Register the admin routes on @p admin (start() helper). */
-    void registerAdminRoutes(HttpAdminServer &admin);
-    /** Gather HealthInputs and run them through health_. */
-    HealthReport evaluateHealth() const;
-    /** Fetch the stitchable cross-tier trace set (the gateway's own
-     *  rings plus every routable backend's) by round-tripping a
-     *  TRACES frame through the gateway's own front door. */
-    bool gatherTracesForAdmin(std::vector<RequestTrace> *out,
-                              std::uint64_t *total) const;
+    /** What the admin plane reads from this gateway. */
+    AdminPlane::Sources adminSources();
 
     Options opts_;
     std::string error_;
@@ -407,10 +367,7 @@ class Gateway
     std::atomic<bool> running_{false};
     std::atomic<bool> exiting_{false};
 
-    int listen_fd_ = -1;
-    std::uint16_t port_ = 0;
-    int wake_pipe_[2] = {-1, -1};
-    int listen_backoff_ = 0;
+    Listener listener_;
 
     /** IO-thread only (except where noted). */
     EventLoop loop_;
@@ -421,11 +378,9 @@ class Gateway
     std::vector<std::size_t> ring_map_;
     std::atomic<std::size_t> routable_count_{0};
 
-    std::uint64_t next_conn_id_ = 16;
-    std::map<std::uint64_t, std::unique_ptr<ClientConn>> conns_;
-    /** Closing clients, swept for close-when-flushed-and-owed-
-     *  nothing each wakeup. */
-    std::set<std::uint64_t> closing_conns_;
+    /** Client connections; keys start past the listen and backend
+     *  keys. */
+    ConnectionSet conns_;
 
     std::uint64_t next_tag_ = 1;
     std::map<std::uint64_t, Inflight> inflight_;
@@ -464,10 +419,9 @@ class Gateway
     /** Declared after metrics_: stage histograms feed the registry. */
     TraceCollector collector_;
 
-    /** Admin plane (all null when Options::adminEnabled is off). */
-    std::unique_ptr<HealthModel> health_;
-    std::unique_ptr<FlightRecorder> recorder_;
-    std::unique_ptr<HttpAdminServer> admin_;
+    /** Declared last: its threads call back into everything above,
+     *  so it is destroyed first. */
+    AdminPlane admin_;
 };
 
 /**

@@ -530,14 +530,6 @@ OutQueue::push(OutFrame frame)
     frames_.push_back(std::move(frame));
 }
 
-void
-OutQueue::clear()
-{
-    frames_.clear();
-    front_sent_ = 0;
-    queued_ = 0;
-}
-
 ssize_t
 OutQueue::flush(int fd)
 {

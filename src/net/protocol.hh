@@ -414,8 +414,6 @@ class OutQueue
      */
     ssize_t flush(int fd);
 
-    void clear();
-
   private:
     std::deque<OutFrame> frames_;
     /** Bytes of frames_.front() already written. */

@@ -1,14 +1,7 @@
 #include "net/server.hh"
 
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "base/logging.hh"
@@ -22,34 +15,23 @@ namespace {
  *  closing connection can linger after its last response flushed. */
 constexpr int kWaitTimeoutMs = 50;
 
-/** Event-loop keys below this are reserved (0 = wake pipe,
- *  1 = listen socket); connection ids start above them. */
-constexpr std::uint64_t kWakeKey = 0;
-constexpr std::uint64_t kListenKey = 1;
+/** Event-loop key of the listen socket; connection ids start
+ *  above it. */
+constexpr std::uint64_t kListenKey = 0;
 
 /** Shutdown flush gives a slow client at most this many periods. */
 constexpr int kMaxFlushSpins = 40; // ~2 s with kWaitTimeoutMs
-
-bool
-setNonBlocking(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-std::string
-errnoString(const char *what)
-{
-    return std::string(what) + ": " + std::strerror(errno);
-}
 
 } // namespace
 
 NetServer::NetServer(const Options &opts)
     : opts_(opts),
+      conns_(loop_, kListenKey + 1, opts.maxPayloadBytes,
+             opts.maxQueuedOutputBytes),
       net_metrics_(opts.metrics ? std::make_unique<MetricsRegistry>()
                                 : nullptr),
-      collector_(opts.trace, net_metrics_.get())
+      collector_(opts.trace, net_metrics_.get()),
+      admin_(opts.admin, adminSources())
 {
     if (net_metrics_) {
         inst_.bytesIn =
@@ -91,79 +73,15 @@ NetServer::start()
                  "construct a new instance";
         return false;
     }
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-        error_ = errnoString("socket");
+    if (!listener_.open(opts_.port, &error_))
         return false;
-    }
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(opts_.port);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listen_fd_, 64) != 0 || !setNonBlocking(listen_fd_)) {
-        error_ = errnoString("bind/listen");
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        return false;
-    }
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) != 0) {
-        error_ = errnoString("getsockname");
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        return false;
-    }
-    port_ = ntohs(addr.sin_port);
-
-    if (::pipe(wake_pipe_) != 0 || !setNonBlocking(wake_pipe_[0]) ||
-        !setNonBlocking(wake_pipe_[1])) {
-        error_ = errnoString("pipe");
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        if (wake_pipe_[0] >= 0)
-            ::close(wake_pipe_[0]);
-        if (wake_pipe_[1] >= 0)
-            ::close(wake_pipe_[1]);
-        wake_pipe_[0] = wake_pipe_[1] = -1;
-        return false;
-    }
-
     // Admin plane comes up before the data-plane threads: if its
-    // port cannot bind, start() fails with nothing left to unwind
-    // but sockets. Its handlers tolerate the not-yet-serving state
+    // port cannot bind, start() fails with only the listener to
+    // unwind. Its handlers tolerate the not-yet-serving state
     // (healthz answers "not serving" until serving_ flips below).
-    if (opts_.adminEnabled) {
-        health_ = std::make_unique<HealthModel>(opts_.health);
-        FlightRecorderConfig rc;
-        rc.intervalSeconds = opts_.samplerIntervalSeconds;
-        rc.retainSamples = opts_.samplerRetainSamples;
-        recorder_ = std::make_unique<FlightRecorder>(
-            [this] { return metricsSnapshot(); }, rc);
-
-        HttpAdminServer::Options admin_opts;
-        admin_opts.port = opts_.adminPort;
-        admin_ = std::make_unique<HttpAdminServer>(admin_opts);
-        registerAdminRoutes(*admin_);
-        if (!admin_->start()) {
-            error_ = "admin: " + admin_->error();
-            admin_.reset();
-            recorder_.reset();
-            health_.reset();
-            ::close(listen_fd_);
-            listen_fd_ = -1;
-            ::close(wake_pipe_[0]);
-            ::close(wake_pipe_[1]);
-            wake_pipe_[0] = wake_pipe_[1] = -1;
-            return false;
-        }
-        recorder_->start();
+    if (!admin_.start(&error_)) {
+        listener_.close();
+        return false;
     }
 
     cluster_ = std::make_unique<Cluster>(opts_.cluster);
@@ -173,7 +91,7 @@ NetServer::start()
     running_.store(true);
     io_thread_ = std::thread([this] { ioLoop(); });
     writer_thread_ = std::thread([this] { writerLoop(); });
-    SAP_LOG_INFO("net server listening on 127.0.0.1:", port_, " (",
+    SAP_LOG_INFO("net server listening on 127.0.0.1:", port(), " (",
                  opts_.cluster.shards, " shards, tracing ",
                  collector_.enabled() ? "on" : "off", ")");
     return true;
@@ -191,15 +109,12 @@ NetServer::stop()
     // 0. Admin plane first: its threads call back into the cluster
     //    and queue surfaces torn down below. The objects stay alive
     //    (adminPort() remains answerable), only their threads stop.
-    if (admin_)
-        admin_->stop();
-    if (recorder_)
-        recorder_->stop();
+    admin_.stop();
 
     // 1. Stop accepting and reading; wait for the IO thread to
     //    acknowledge, so no submitToQueue() races the cluster drain.
     serving_.store(false);
-    wakeIoThread();
+    loop_.wake();
     {
         std::unique_lock<std::mutex> lock(quiesce_mutex_);
         quiesce_cv_.wait(lock, [this] { return reads_quiesced_; });
@@ -222,15 +137,11 @@ NetServer::stop()
     // 4. Let the IO thread flush what clients will accept (bounded),
     //    then close everything.
     flush_and_exit_.store(true);
-    wakeIoThread();
+    loop_.wake();
     io_thread_.join();
 
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    ::close(wake_pipe_[0]);
-    ::close(wake_pipe_[1]);
-    wake_pipe_[0] = wake_pipe_[1] = -1;
-    SAP_LOG_INFO("net server on port ", port_, " stopped");
+    listener_.close();
+    SAP_LOG_INFO("net server on port ", port(), " stopped");
 }
 
 NetServerStats
@@ -252,142 +163,35 @@ NetServer::metricsSnapshot() const
     return snap;
 }
 
-HealthReport
-NetServer::evaluateHealth() const
+AdminPlane::Sources
+NetServer::adminSources()
 {
-    HealthInputs in;
-    in.serving = serving_.load();
-    in.queueDepth = static_cast<double>(queue_.size());
-    {
-        std::lock_guard<std::mutex> lock(cluster_mutex_);
-        if (cluster_)
-            in.queueDepth += cluster_->queueDepth();
-    }
-    {
+    AdminPlane::Sources src;
+    src.name = "sap";
+    src.metrics = [this] { return metricsSnapshot(); };
+    src.health = [this] {
+        HealthInputs in;
+        in.serving = serving_.load();
+        in.queueDepth = static_cast<double>(queue_.size());
+        {
+            std::lock_guard<std::mutex> lock(cluster_mutex_);
+            if (cluster_)
+                in.queueDepth += cluster_->queueDepth();
+        }
         std::lock_guard<std::mutex> lock(stats_mutex_);
         in.protocolErrors = net_stats_.protocolErrors;
-    }
-    if (recorder_)
-        in.p99Micros =
-            recorder_->latestValue("serve_latency_micros:p99");
-    in.nowSeconds = monotonicSeconds();
-    return health_->evaluate(in);
-}
-
-HealthReport
-NetServer::healthReport() const
-{
-    if (!health_) {
-        // No admin plane: degenerate always-healthy report keyed off
-        // the lifecycle flag alone.
-        HealthReport report;
-        report.state = HealthState::Ok;
-        report.live = true;
-        report.ready = serving_.load();
-        return report;
-    }
-    return evaluateHealth();
-}
-
-void
-NetServer::registerAdminRoutes(HttpAdminServer &admin)
-{
-    admin.addHandler("/", [](const HttpRequest &) {
-        HttpResponse resp;
-        resp.contentType = "text/html; charset=utf-8";
-        resp.body =
-            "<!doctype html><title>sap admin</title>"
-            "<h1>sap admin</h1><ul>"
-            "<li><a href=\"/metrics\">/metrics</a> — Prometheus "
-            "text exposition</li>"
-            "<li><a href=\"/healthz\">/healthz</a> — liveness "
-            "(200/503)</li>"
-            "<li><a href=\"/readyz\">/readyz</a> — readiness "
-            "(200/503)</li>"
-            "<li><a href=\"/tracez\">/tracez</a> — recent request "
-            "traces (<a href=\"/tracez?format=chrome\">Perfetto "
-            "format</a>)</li>"
-            "<li><a href=\"/varz\">/varz</a> — full metrics "
-            "snapshot as JSON</li>"
-            "<li><a href=\"/timeseriesz\">/timeseriesz</a> — "
-            "flight-recorder time series</li>"
-            "</ul>";
-        return resp;
-    });
-    admin.addHandler("/metrics", [this](const HttpRequest &) {
-        HttpResponse resp;
-        resp.contentType = "text/plain; version=0.0.4; charset=utf-8";
-        resp.body = renderPrometheus(metricsSnapshot());
-        return resp;
-    });
-    admin.addHandler("/varz", [this](const HttpRequest &) {
-        HttpResponse resp;
-        resp.contentType = "application/json";
-        resp.body = renderMetricsJson(metricsSnapshot());
-        return resp;
-    });
-    admin.addHandler("/healthz", [this](const HttpRequest &) {
-        const HealthReport report = evaluateHealth();
-        HttpResponse resp;
-        resp.status = report.live ? 200 : 503;
-        resp.body = std::string(healthStateName(report.state));
-        if (!report.reason.empty())
-            resp.body += ": " + report.reason;
-        resp.body += "\n";
-        return resp;
-    });
-    admin.addHandler("/readyz", [this](const HttpRequest &) {
-        const HealthReport report = evaluateHealth();
-        HttpResponse resp;
-        resp.status = report.ready ? 200 : 503;
-        resp.body = std::string(report.ready ? "ready" : "not ready");
-        if (!report.reason.empty())
-            resp.body += ": " + report.reason;
-        resp.body += "\n";
-        return resp;
-    });
-    admin.addHandler("/tracez", [this](const HttpRequest &req) {
-        HttpResponse resp;
-        resp.contentType = "application/json";
-        std::uint64_t min_us = 0;
-        std::string kind, parse_err;
-        if (!parseTraceQuery(req.query, &min_us, &kind, &parse_err)) {
-            resp.status = 400;
-            resp.contentType = "text/plain; charset=utf-8";
-            resp.body = parse_err + "\n";
-            return resp;
-        }
-        std::vector<RequestTrace> traces =
-            filterTraces(traceSnapshot(), min_us, kind);
-        auto it = req.query.find("format");
-        if (it != req.query.end() && it->second == "chrome") {
-            resp.body = toChromeTraceJson(traces);
-            // A download, not a page: chrome://tracing / Perfetto
-            // load the saved file.
-            resp.extraHeaders.emplace_back(
-                "Content-Disposition",
-                "attachment; filename=\"sap_trace.json\"");
-        } else {
-            resp.body = toTracezJson(traces,
-                                     collector_.totalCommitted());
-        }
-        return resp;
-    });
-    admin.addHandler("/timeseriesz", [this](const HttpRequest &) {
-        HttpResponse resp;
-        resp.contentType = "application/json";
-        resp.body = toTimeseriesJson(recorder_->snapshot());
-        return resp;
-    });
-}
-
-void
-NetServer::wakeIoThread()
-{
-    std::uint8_t byte = 1;
-    // Best-effort: a full pipe already guarantees a pending wake.
-    [[maybe_unused]] ssize_t n =
-        ::write(wake_pipe_[1], &byte, 1);
+        return in;
+    };
+    src.p99Series = "serve_latency_micros:p99";
+    src.traces = [this](std::uint64_t *total) {
+        *total = collector_.totalCommitted();
+        return collector_.snapshot();
+    };
+    src.renderTracez = [](std::vector<RequestTrace> traces,
+                          std::uint64_t total) {
+        return toTracezJson(traces, total);
+    };
+    return src;
 }
 
 void
@@ -421,15 +225,7 @@ NetServer::hasPendingTags(std::uint64_t conn_id)
 void
 NetServer::closeConnLocked(std::uint64_t conn_id)
 {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end())
-        return;
-    loop_.remove(it->second->fd); // before close(): see EventLoop
-    closing_conns_.erase(conn_id);
-    ::close(it->second->fd);
-    conns_.erase(it);
-    if (inst_.connectionsLive)
-        inst_.connectionsLive->add(-1);
+    conns_.close(conn_id);
     SAP_LOG_DEBUG("conn ", conn_id, " closed");
     // Completions still in flight for this connection are dropped
     // when the writer fails to find their tag mapping.
@@ -441,175 +237,83 @@ NetServer::enqueueOutput(std::uint64_t conn_id, OutFrame frame)
 {
     {
         std::lock_guard<std::mutex> lock(conns_mutex_);
-        auto it = conns_.find(conn_id);
-        if (it == conns_.end())
+        Connection *conn = conns_.find(conn_id);
+        if (conn == nullptr)
             return false; // connection is gone; drop the frame
-        it->second->out.push(std::move(frame));
+        conn->out.push(std::move(frame));
         // The IO thread owns the event loop; ask it to pick up the
         // new write interest when the wake lands.
         interest_dirty_.push_back(conn_id);
     }
-    wakeIoThread();
+    loop_.wake();
     return true;
-}
-
-void
-NetServer::updateInterestLocked(std::uint64_t conn_id,
-                                Connection &conn)
-{
-    const std::size_t queued = conn.out.queuedBytes();
-    std::uint32_t mask = 0;
-    // Backpressure: a client that is not reading its responses
-    // stops being read from until its queued output drains.
-    if (serving_.load() && !conn.closing &&
-        queued <= opts_.maxQueuedOutputBytes)
-        mask |= EventLoop::kRead;
-    if (queued > 0)
-        mask |= EventLoop::kWrite;
-    if (mask != conn.interest) {
-        loop_.set(conn.fd, mask, conn_id);
-        conn.interest = mask;
-    }
-}
-
-bool
-NetServer::flushLocked(Connection &conn)
-{
-    const ssize_t n = conn.out.flush(conn.fd);
-    if (n < 0)
-        return false; // peer is gone
-    if (n > 0 && inst_.bytesOut)
-        inst_.bytesOut->add(static_cast<std::uint64_t>(n));
-    return true;
-}
-
-void
-NetServer::acceptReady()
-{
-    for (;;) {
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            if (errno != EAGAIN && errno != EWOULDBLOCK) {
-                // Persistent failure (EMFILE/ENFILE...): the pending
-                // connection keeps the listen socket readable, so
-                // back off from polling it for a while instead of
-                // spinning the IO thread hot.
-                listen_backoff_ = 20; // ~1 s of poll periods
-            }
-            return;
-        }
-        if (!setNonBlocking(fd)) {
-            ::close(fd);
-            continue;
-        }
-        int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        std::uint64_t conn_id;
-        {
-            std::lock_guard<std::mutex> lock(conns_mutex_);
-            conn_id = next_conn_id_;
-            auto [it, inserted] = conns_.emplace(
-                next_conn_id_, std::make_unique<Connection>(
-                                   fd, opts_.maxPayloadBytes));
-            ++next_conn_id_;
-            updateInterestLocked(conn_id, *it->second);
-        }
-        if (inst_.connectionsAccepted) {
-            inst_.connectionsAccepted->add();
-            inst_.connectionsLive->add(1);
-        }
-        SAP_LOG_DEBUG("conn ", conn_id, " accepted");
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++net_stats_.connectionsAccepted;
-    }
 }
 
 bool
 NetServer::readReady(std::uint64_t conn_id, Connection &conn)
 {
-    for (;;) {
-        {
-            std::lock_guard<std::mutex> lock(conns_mutex_);
-            if (conn.closing)
-                return true; // a malformed frame ended reading
-        }
-        ssize_t n = conn.decoder.receive(conn.fd);
-        if (n > 0) {
-            if (inst_.bytesIn)
-                inst_.bytesIn->add(static_cast<std::uint64_t>(n));
-            Frame frame;
-            std::string err;
-            for (;;) {
-                FrameDecoder::Result res =
-                    conn.decoder.next(&frame, &err);
-                if (res == FrameDecoder::Result::NeedMore)
-                    break;
-                if (res == FrameDecoder::Result::Ok) {
-                    handleFrame(conn_id, conn, frame);
-                    continue;
-                }
-                // Frame-level violation: the stream cannot recover.
-                // One ERROR frame, then close after the flush.
-                {
-                    std::lock_guard<std::mutex> lock(stats_mutex_);
-                    ++net_stats_.protocolErrors;
-                }
-                if (inst_.protocolErrors)
-                    inst_.protocolErrors->add();
-                SAP_LOG_WARN("conn ", conn_id,
-                             ": unrecoverable frame error: ", err);
-                std::lock_guard<std::mutex> lock(conns_mutex_);
-                conn.out.push(buildErrorFrame(0, err));
-                conn.closing = true;
-                return true;
-            }
-            continue;
-        }
-        if (n == 0) {
-            // Peer finished writing; deliver what we owe, then close.
-            std::lock_guard<std::mutex> lock(conns_mutex_);
-            conn.closing = true;
+    std::uint64_t received = 0;
+    std::string err;
+    const Connection::End end = conn.receive(
+        [&](Frame &&frame) {
+            handleFrame(conn_id, conn, frame);
             return true;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return true;
-        if (errno == EINTR)
-            continue;
-        return false; // dead socket
+        },
+        &received, &err);
+    if (received > 0 && inst_.bytesIn)
+        inst_.bytesIn->add(received);
+    if (end == Connection::End::Malformed) {
+        // Frame-level violation: the stream cannot recover. One
+        // ERROR frame, then close after the flush.
+        count(&NetServerStats::protocolErrors, inst_.protocolErrors);
+        SAP_LOG_WARN("conn ", conn_id,
+                     ": unrecoverable frame error: ", err);
+        std::lock_guard<std::mutex> lock(conns_mutex_);
+        conn.out.push(buildErrorFrame(0, err));
     }
+    return end != Connection::End::Failed;
+}
+
+void
+NetServer::count(std::uint64_t NetServerStats::*stat, Counter *counter,
+                 std::uint64_t n)
+{
+    {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        net_stats_.*stat += n;
+    }
+    if (counter)
+        counter->add(n);
 }
 
 void
 NetServer::handleFrame(std::uint64_t conn_id, Connection &conn,
                        const Frame &frame)
 {
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++net_stats_.framesReceived;
-    }
-    if (inst_.framesReceived)
-        inst_.framesReceived->add();
+    count(&NetServerStats::framesReceived, inst_.framesReceived);
     const std::uint64_t tag = frame.header.tag;
 
     auto send_error = [&](const std::string &message) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++net_stats_.protocolErrors;
-        }
-        if (inst_.protocolErrors)
-            inst_.protocolErrors->add();
+        count(&NetServerStats::protocolErrors, inst_.protocolErrors);
         SAP_LOG_DEBUG("conn ", conn_id, ": protocol error: ", message);
         std::lock_guard<std::mutex> lock(conns_mutex_);
         conn.out.push(buildErrorFrame(tag, message));
     };
 
     switch (frame.header.type) {
-    case static_cast<std::uint16_t>(FrameType::Submit): {
+    case static_cast<std::uint16_t>(FrameType::Submit):
+    case static_cast<std::uint16_t>(FrameType::Forward): {
+        // FORWARD is the gateway hop: a SUBMIT whose routing digest
+        // was already computed one tier up, riding through to the
+        // shard plan cache. Same life cycle as SUBMIT.
+        const bool forward =
+            frame.header.type ==
+            static_cast<std::uint16_t>(FrameType::Forward);
+        Digest digest = 0;
         ServeRequest req;
         std::string err;
-        if (!decodeSubmit(frame.payload, &req, &err)) {
+        if (!(forward ? decodeForward(frame.payload, &digest, &req, &err)
+                      : decodeSubmit(frame.payload, &req, &err))) {
             send_error(err);
             return;
         }
@@ -627,32 +331,11 @@ NetServer::handleFrame(std::uint64_t conn_id, Connection &conn,
             server_tag = next_tag_++;
             tags_[server_tag] = {conn_id, tag};
         }
-        cluster_->submitToQueue(std::move(req), &queue_, server_tag);
-        return;
-    }
-    case static_cast<std::uint16_t>(FrameType::Forward): {
-        // The gateway hop: a SUBMIT whose routing digest was already
-        // computed one tier up. Same life cycle as SUBMIT; the
-        // digest rides through to the shard plan cache.
-        Digest digest = 0;
-        ServeRequest req;
-        std::string err;
-        if (!decodeForward(frame.payload, &digest, &req, &err)) {
-            send_error(err);
-            return;
-        }
-        req.trace = req.traceContext.valid()
-                        ? collector_.adopt(req.traceContext)
-                        : collector_.begin();
-        traceStamp(req.trace, TraceStage::Decode);
-        std::uint64_t server_tag;
-        {
-            std::lock_guard<std::mutex> lock(tags_mutex_);
-            server_tag = next_tag_++;
-            tags_[server_tag] = {conn_id, tag};
-        }
-        cluster_->submitToQueue(std::move(req), &queue_, server_tag,
-                                digest);
+        if (forward)
+            cluster_->submitToQueue(std::move(req), &queue_, server_tag,
+                                    digest);
+        else
+            cluster_->submitToQueue(std::move(req), &queue_, server_tag);
         return;
     }
     case static_cast<std::uint16_t>(FrameType::Ping): {
@@ -663,38 +346,27 @@ NetServer::handleFrame(std::uint64_t conn_id, Connection &conn,
         conn.out.push(std::move(echo));
         return;
     }
-    case static_cast<std::uint16_t>(FrameType::Stats): {
+    case static_cast<std::uint16_t>(FrameType::Stats):
+    case static_cast<std::uint16_t>(FrameType::Metrics):
+    case static_cast<std::uint16_t>(FrameType::Traces): {
         // Empty payload = request (a snapshot in either direction is
         // harmless to serve again, so no payload check). The
         // snapshot + encode work is milliseconds on a loaded
         // installation, so it runs on the writer thread — the IO
         // thread only hands the request over via the tag-0 marker.
+        // TRACES is the scatter leg of the gateway's stitched
+        // /tracez.
+        const SnapKind kind =
+            frame.header.type ==
+                    static_cast<std::uint16_t>(FrameType::Stats)
+                ? SnapKind::Stats
+            : frame.header.type ==
+                    static_cast<std::uint16_t>(FrameType::Metrics)
+                ? SnapKind::Metrics
+                : SnapKind::Traces;
         {
             std::lock_guard<std::mutex> lock(stats_requests_mutex_);
-            stats_requests_.push_back({conn_id, tag, SnapKind::Stats});
-        }
-        queue_.push({0, {}});
-        return;
-    }
-    case static_cast<std::uint16_t>(FrameType::Metrics): {
-        // Same hand-off discipline as STATS: the merged registry
-        // snapshot is the writer thread's job.
-        {
-            std::lock_guard<std::mutex> lock(stats_requests_mutex_);
-            stats_requests_.push_back(
-                {conn_id, tag, SnapKind::Metrics});
-        }
-        queue_.push({0, {}});
-        return;
-    }
-    case static_cast<std::uint16_t>(FrameType::Traces): {
-        // Ring snapshots follow the STATS/METRICS hand-off: the
-        // writer serializes them, the IO thread never stalls. This
-        // is the scatter leg of the gateway's stitched /tracez.
-        {
-            std::lock_guard<std::mutex> lock(stats_requests_mutex_);
-            stats_requests_.push_back(
-                {conn_id, tag, SnapKind::Traces});
+            stats_requests_.push_back({conn_id, tag, kind});
         }
         queue_.push({0, {}});
         return;
@@ -715,8 +387,6 @@ NetServer::ioLoop()
 {
     SAP_ASSERT(loop_.valid(), "event loop creation failed (",
                EventLoop::backendName(), ")");
-    loop_.set(wake_pipe_[0], EventLoop::kRead, kWakeKey);
-    loop_.set(listen_fd_, EventLoop::kRead, kListenKey);
     int flush_spins = 0;
     bool was_serving = true;
 
@@ -730,14 +400,8 @@ NetServer::ioLoop()
         const bool exiting = flush_and_exit_.load();
 
         // Listen-socket interest follows the serving flag and the
-        // accept() backoff (see acceptReady()).
-        if (serving && listen_backoff_ == 0) {
-            loop_.set(listen_fd_, EventLoop::kRead, kListenKey);
-        } else {
-            loop_.remove(listen_fd_);
-            if (listen_backoff_ > 0)
-                --listen_backoff_;
-        }
+        // accept() backoff (net/listener.hh).
+        listener_.watch(loop_, kListenKey, serving);
 
         bool any_output = false;
         {
@@ -748,46 +412,24 @@ NetServer::ioLoop()
             // are touched — unless the serving flag just flipped or
             // we are flushing to exit, which changes every mask.
             if (serving != was_serving || exiting) {
-                for (auto &entry : conns_)
-                    updateInterestLocked(entry.first, *entry.second);
+                conns_.updateAll(serving);
             } else {
-                for (std::uint64_t id : interest_dirty_) {
-                    auto it = conns_.find(id);
-                    if (it != conns_.end())
-                        updateInterestLocked(id, *it->second);
-                }
+                for (std::uint64_t id : interest_dirty_)
+                    if (Connection *conn = conns_.find(id))
+                        conns_.update(id, *conn, serving);
             }
             interest_dirty_.clear();
             was_serving = serving;
 
-            // Close what is closing, fully flushed, AND owed
-            // nothing: a client may pipeline SUBMITs and shutdown
-            // its write side before reading — its responses are
-            // still in flight in the cluster, so the connection must
-            // survive until the writer has delivered (and we
-            // flushed) them. Swept every wakeup (bounded by the
-            // closing set, not the connection count) because the
-            // final tag erase happens writer-side without a wake.
-            for (auto it = closing_conns_.begin();
-                 it != closing_conns_.end();) {
-                auto cit = conns_.find(*it);
-                if (cit == conns_.end()) {
-                    it = closing_conns_.erase(it);
-                    continue;
-                }
-                Connection &c = *cit->second;
-                if (c.out.empty() && !hasPendingTags(*it)) {
-                    std::uint64_t id = *it;
-                    ++it;
-                    closeConnLocked(id); // erases from closing_conns_
-                } else {
-                    ++it;
-                }
-            }
-
-            if (exiting)
-                for (const auto &entry : conns_)
-                    any_output |= !entry.second->out.empty();
+            // Swept every wakeup (bounded by the closing set, not the
+            // connection count) because the final tag erase happens
+            // writer-side without a wake.
+            conns_.sweep(
+                [this](std::uint64_t id) { return hasPendingTags(id); });
+            if (inst_.connectionsLive)
+                inst_.connectionsLive->set(
+                    static_cast<double>(conns_.size()));
+            any_output = exiting && conns_.anyOutput();
         }
 
         if (exiting) {
@@ -798,25 +440,24 @@ NetServer::ioLoop()
         loop_.wait(kWaitTimeoutMs);
 
         for (const EventLoop::Ready &ev : loop_.ready()) {
-            if (ev.key == kWakeKey) {
-                std::uint8_t drain[256];
-                while (::read(wake_pipe_[0], drain, sizeof(drain)) > 0) {
-                }
-                continue;
-            }
             if (ev.key == kListenKey) {
-                acceptReady();
+                std::size_t accepted;
+                {
+                    std::lock_guard<std::mutex> lock(conns_mutex_);
+                    accepted = conns_.acceptAll(listener_, serving);
+                }
+                count(&NetServerStats::connectionsAccepted,
+                      inst_.connectionsAccepted, accepted);
                 continue;
             }
             const std::uint64_t conn_id = ev.key;
             Connection *conn = nullptr;
             {
                 std::lock_guard<std::mutex> lock(conns_mutex_);
-                auto it = conns_.find(conn_id);
-                if (it == conns_.end())
-                    continue; // closed earlier in this batch
-                conn = it->second.get();
+                conn = conns_.find(conn_id);
             }
+            if (conn == nullptr)
+                continue; // closed earlier in this batch
             // Only this thread erases connections, so the pointer
             // stays valid without holding the lock.
             if (ev.error) {
@@ -827,7 +468,10 @@ NetServer::ioLoop()
             bool alive = true;
             if (ev.writable) {
                 std::lock_guard<std::mutex> lock(conns_mutex_);
-                alive = flushLocked(*conn);
+                const ssize_t n = conn->out.flush(conn->fd);
+                alive = n >= 0; // else the peer is gone
+                if (n > 0 && inst_.bytesOut)
+                    inst_.bytesOut->add(static_cast<std::uint64_t>(n));
             }
             // Gated on `serving` (not just the installed interest):
             // both backends report hangup even when reads were not
@@ -844,9 +488,7 @@ NetServer::ioLoop()
             // Reading/flushing changed queued bytes (responses,
             // ping echoes, error frames) or set closing; reinstall
             // the mask and track closing conns for the sweep.
-            updateInterestLocked(conn_id, *conn);
-            if (conn->closing)
-                closing_conns_.insert(conn_id);
+            conns_.update(conn_id, *conn, serving);
         }
     }
 
@@ -859,8 +501,9 @@ NetServer::ioLoop()
         quiesce_cv_.notify_all();
     }
     std::lock_guard<std::mutex> lock(conns_mutex_);
-    while (!conns_.empty())
-        closeConnLocked(conns_.begin()->first);
+    conns_.closeAll();
+    if (inst_.connectionsLive)
+        inst_.connectionsLive->set(0);
 }
 
 void
@@ -942,10 +585,7 @@ NetServer::writerLoop()
             tags_.erase(c.tag);
         }
         if (delivered) {
-            if (inst_.responsesSent)
-                inst_.responsesSent->add();
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++net_stats_.responsesSent;
+            count(&NetServerStats::responsesSent, inst_.responsesSent);
         }
         // Flush = response bytes handed to the socket layer; the
         // commit decides sampled-or-slow and records stage spans.

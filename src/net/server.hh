@@ -5,9 +5,9 @@
  * NetServer is the network boundary of the installation: it owns a
  * Cluster and bridges the socket world to the cluster's async IO
  * surface. One IO thread runs a level-triggered event loop
- * (net/event_loop.hh: epoll on Linux, poll elsewhere) over the
- * listening socket and every client connection — interest masks are
- * updated where connection state changes rather than rebuilt per
+ * (net/event_loop.hh) over the listening socket (net/listener.hh)
+ * and every client connection (net/connection.hh) — interest masks
+ * are updated where connection state changes rather than rebuilt per
  * wakeup, so ten thousand mostly-idle connections cost nothing per
  * event. Decoded SUBMIT frames go straight into
  * Cluster::submitToQueue(), and a writer thread drains the shared
@@ -48,17 +48,16 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/cluster.hh"
+#include "net/connection.hh"
 #include "net/event_loop.hh"
+#include "net/listener.hh"
 #include "net/protocol.hh"
-#include "obs/health.hh"
-#include "obs/http_admin.hh"
-#include "obs/timeseries.hh"
+#include "obs/admin_plane.hh"
 #include "obs/trace_ring.hh"
 
 namespace sap {
@@ -116,24 +115,9 @@ class NetServer
          * a fully uninstrumented baseline.
          */
         bool metrics = true;
-        /**
-         * Admin HTTP plane (obs/http_admin.hh): when enabled, a
-         * second loopback port serves /metrics, /healthz, /readyz,
-         * /tracez, /varz, and /timeseriesz for curl, Prometheus
-         * scrapers, and load-balancer health checks. The binary
-         * METRICS/STATS frames remain the data-plane path.
-         */
-        bool adminEnabled = false;
-        /** Admin TCP port; 0 binds an ephemeral port (adminPort()). */
-        std::uint16_t adminPort = 0;
-        /** Health state machine thresholds (obs/health.hh). */
-        HealthThresholds health;
-        /** Flight recorder sample interval; the recorder (and its
-         *  sampler thread) runs only when the admin plane is on. */
-        double samplerIntervalSeconds = 1.0;
-        /** Flight recorder ring capacity per series (300 × 1 s ≈ 5
-         *  minutes of history at the default interval). */
-        std::size_t samplerRetainSamples = 300;
+        /** Admin HTTP plane (obs/admin_plane.hh); /tracez serves
+         *  this server's own trace rings. */
+        AdminOptions admin;
     };
 
     NetServer() : NetServer(Options()) {}
@@ -159,7 +143,7 @@ class NetServer
     bool running() const { return running_.load(); }
 
     /** The bound TCP port (valid after a successful start()). */
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return listener_.port(); }
 
     /** Why start() failed (empty otherwise). */
     const std::string &error() const { return error_; }
@@ -183,54 +167,27 @@ class NetServer
         return collector_.snapshot();
     }
 
-    /** The trace collector (config, commit counts). */
-    const TraceCollector &traceCollector() const { return collector_; }
-
     /** The fronted cluster (valid until stop()). */
     const Cluster &cluster() const { return *cluster_; }
 
-    /** The admin plane's bound TCP port (0 unless adminEnabled and
+    /** The admin plane's bound TCP port (0 unless admin.enabled and
      *  start() succeeded). */
-    std::uint16_t adminPort() const
-    {
-        return admin_ ? admin_->port() : 0;
-    }
+    std::uint16_t adminPort() const { return admin_.port(); }
 
     /**
      * One health evaluation right now — exactly what /healthz and
-     * /readyz serve (obs/health.hh). Available whenever the admin
-     * plane is enabled; a disabled admin plane reports a default
-     * (Ok/live/ready-while-serving) state.
+     * /readyz serve (obs/health.hh); with the admin plane disabled,
+     * a default (Ok/live/ready-while-serving) state.
      */
-    HealthReport healthReport() const;
+    HealthReport healthReport() const { return admin_.healthReport(); }
 
-    /** The flight recorder (null unless adminEnabled). */
+    /** The flight recorder (null unless admin.enabled). */
     const FlightRecorder *flightRecorder() const
     {
-        return recorder_.get();
+        return admin_.recorder();
     }
 
   private:
-    struct Connection
-    {
-        int fd = -1;
-        FrameDecoder decoder;
-        /** Pending output; flushed by the IO thread as writability
-         *  allows. */
-        OutQueue out;
-        /** Stop reading; close once out is flushed. */
-        bool closing = false;
-        /** Event-loop interest mask the IO thread last installed
-         *  (EventLoop::kRead|kWrite); updated by
-         *  updateInterestLocked() only. */
-        std::uint32_t interest = 0;
-
-        explicit Connection(int fd_in, std::uint32_t max_payload)
-            : fd(fd_in), decoder(max_payload)
-        {
-        }
-    };
-
     /** Which snapshot a tag-0 marker requests (see writerLoop()). */
     enum class SnapKind : std::uint8_t
     {
@@ -250,27 +207,20 @@ class NetServer
 
     void ioLoop();
     void writerLoop();
-    void acceptReady();
     /** Read until EAGAIN; decode and handle frames. @return false if
      *  the connection must be dropped immediately. */
     bool readReady(std::uint64_t conn_id, Connection &conn);
     void handleFrame(std::uint64_t conn_id, Connection &conn,
                      const Frame &frame);
+    /** Add @p n to one NetServerStats field and its registry counter
+     *  (may be null). */
+    void count(std::uint64_t NetServerStats::*stat, Counter *counter,
+               std::uint64_t n = 1);
     /** Queue an encoded frame on the connection (under
      *  conns_mutex_) and wake the IO thread.
      *  @return false when the connection is gone (frame dropped). */
     bool enqueueOutput(std::uint64_t conn_id, OutFrame frame);
-    /** Flush as much of conn.out as the socket accepts.
-     *  @return false when the socket died. */
-    bool flushLocked(Connection &conn);
     void closeConnLocked(std::uint64_t conn_id);
-    /**
-     * Recompute and install the connection's event-loop interest
-     * mask from its current state (serving, closing, queued output,
-     * backpressure). IO thread only, conns_mutex_ held.
-     */
-    void updateInterestLocked(std::uint64_t conn_id, Connection &conn);
-    void wakeIoThread();
     /** Drop completions addressed to a dead connection. */
     void forgetTags(std::uint64_t conn_id);
     /** True while responses for this connection are still in flight
@@ -297,26 +247,18 @@ class NetServer
     mutable std::mutex cluster_mutex_;
     std::unique_ptr<Cluster> cluster_;
 
-    int listen_fd_ = -1;
-    std::uint16_t port_ = 0;
-    int wake_pipe_[2] = {-1, -1};
-    /** IO-thread only: wait periods left to skip the listen socket
-     *  after a persistent accept() failure (EMFILE and friends). */
-    int listen_backoff_ = 0;
+    Listener listener_;
 
     /**
      * The IO thread's readiness multiplexer. Owned and touched by
      * the IO thread alone — other threads request interest updates
-     * via interest_dirty_ + the wake pipe.
+     * via interest_dirty_ + wake().
      */
     EventLoop loop_;
     /** Connections whose interest mask may be stale (e.g. the
      *  writer buffered output for them); drained by the IO thread
      *  each wakeup. Guarded by conns_mutex_. */
     std::vector<std::uint64_t> interest_dirty_;
-    /** IO-thread only: connections in the closing state, swept each
-     *  wakeup for close-when-flushed-and-owed-nothing. */
-    std::set<std::uint64_t> closing_conns_;
 
     std::atomic<bool> running_{false};
     /** One-shot lifecycle: set by stop(); start() then refuses (the
@@ -334,11 +276,11 @@ class NetServer
     std::thread io_thread_;
     std::thread writer_thread_;
 
+    /** Guards conns_: the IO thread reads, flushes and closes, the
+     *  writer queues output. Event-loop key 0 is the listen socket;
+     *  connection ids start above it. */
     mutable std::mutex conns_mutex_;
-    /** Starts above the ioLoop() id sentinels (0 = wake pipe,
-     *  1 = listen socket). */
-    std::uint64_t next_conn_id_ = 16;
-    std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;
+    ConnectionSet conns_;
 
     std::mutex tags_mutex_;
     /** Starts at 1: server tag 0 is the STATS marker (see
@@ -373,21 +315,16 @@ class NetServer
      *  outlive it. */
     TraceCollector collector_;
 
-    /** Register the admin routes on @p admin (start() helper). */
-    void registerAdminRoutes(HttpAdminServer &admin);
-    /** Gather HealthInputs and run them through health_. */
-    HealthReport evaluateHealth() const;
+    /** What the admin plane reads from this server. */
+    AdminPlane::Sources adminSources();
 
     /**
-     * Admin plane (all null when Options::adminEnabled is off).
-     * Declared last: their threads call back into everything above
-     * (metricsSnapshot, queue_, collector_), so they must be
-     * destroyed first — and stop() shuts them down before the
+     * Admin plane. Declared last: its threads call back into
+     * everything above (metricsSnapshot, queue_, collector_), so it
+     * must be destroyed first — and stop() shuts it down before the
      * cluster teardown for the same reason.
      */
-    std::unique_ptr<HealthModel> health_;
-    std::unique_ptr<FlightRecorder> recorder_;
-    std::unique_ptr<HttpAdminServer> admin_;
+    AdminPlane admin_;
 };
 
 } // namespace sap

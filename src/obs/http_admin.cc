@@ -1,11 +1,6 @@
 #include "obs/http_admin.hh"
 
 #include <cerrno>
-#include <cstring>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -18,18 +13,12 @@ namespace sap {
 
 namespace {
 
-bool
-setNonBlocking(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
+/** Event-loop key of the listening socket; connections count up
+ *  from kListenKey + 1. */
+constexpr std::uint64_t kListenKey = 0;
 
-std::string
-errnoString(const char *what)
-{
-    return std::string(what) + ": " + std::strerror(errno);
-}
+/** Wait period; bounds how late an idle connection is dropped. */
+constexpr int kWaitTimeoutMs = 250;
 
 /** Target bytes must be printable ASCII — no spaces (token-split
  *  already), no controls, nothing above 0x7e. */
@@ -213,74 +202,31 @@ HttpAdminServer::addHandler(const std::string &path, Handler handler)
 bool
 HttpAdminServer::start()
 {
-    if (running_.load() || stopped_) {
+    if (thread_.joinable() || stopped_) {
         error_ = "admin server cannot be restarted";
         return false;
     }
-
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-        error_ = errnoString("socket");
+    if (!loop_.valid()) {
+        error_ = errnoString("event loop");
         return false;
     }
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(opts_.port);
-    socklen_t addrlen = sizeof(addr);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listen_fd_, 16) != 0 || !setNonBlocking(listen_fd_) ||
-        ::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                      &addrlen) != 0) {
-        error_ = errnoString("bind/listen");
-        ::close(listen_fd_);
-        listen_fd_ = -1;
+    if (!listener_.open(opts_.port, &error_))
         return false;
-    }
-    port_ = ntohs(addr.sin_port);
-
-    if (::pipe(wake_pipe_) != 0 || !setNonBlocking(wake_pipe_[0]) ||
-        !setNonBlocking(wake_pipe_[1])) {
-        error_ = errnoString("pipe");
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        for (int i = 0; i < 2; ++i) {
-            if (wake_pipe_[i] >= 0)
-                ::close(wake_pipe_[i]);
-            wake_pipe_[i] = -1;
-        }
-        return false;
-    }
-
-    stop_requested_.store(false);
-    running_.store(true);
     thread_ = std::thread(&HttpAdminServer::serveLoop, this);
-    SAP_LOG_INFO("admin server listening on 127.0.0.1:", port_);
+    SAP_LOG_INFO("admin server listening on 127.0.0.1:", port());
     return true;
 }
 
 void
 HttpAdminServer::stop()
 {
-    if (!running_.load()) {
-        stopped_ = true;
-        return;
-    }
-    stop_requested_.store(true);
-    char byte = 0;
-    // Best-effort: a full pipe already guarantees a pending wake.
-    [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-    thread_.join();
-    running_.store(false);
     stopped_ = true;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    ::close(wake_pipe_[0]);
-    ::close(wake_pipe_[1]);
-    wake_pipe_[0] = wake_pipe_[1] = -1;
+    if (!thread_.joinable())
+        return;
+    stop_requested_.store(true);
+    loop_.wake();
+    thread_.join();
+    listener_.close();
     SAP_LOG_INFO("admin server stopped");
 }
 
@@ -297,7 +243,7 @@ HttpAdminServer::dispatch(const HttpRequest &req)
     return it->second(req);
 }
 
-bool
+void
 HttpAdminServer::makeResponse(Conn &conn)
 {
     HttpRequest req;
@@ -307,11 +253,9 @@ HttpAdminServer::makeResponse(Conn &conn)
             HttpResponse resp;
             resp.status = 431;
             resp.body = "request too large\n";
-            conn.out = renderHttpResponse(resp);
-            conn.responding = true;
-            requests_served_.fetch_add(1);
+            respond(conn, resp, false);
         }
-        return true;
+        return;
     }
 
     HttpResponse resp;
@@ -331,151 +275,118 @@ HttpAdminServer::makeResponse(Conn &conn)
         resp.body = "malformed request\n";
         break;
     }
-    conn.out = renderHttpResponse(resp, headOnly);
+    respond(conn, resp, headOnly);
+}
+
+void
+HttpAdminServer::respond(Conn &conn, const HttpResponse &resp,
+                         bool head_only)
+{
+    const std::string wire = renderHttpResponse(resp, head_only);
+    conn.out.push(std::vector<std::uint8_t>(wire.begin(), wire.end()));
     conn.responding = true;
     requests_served_.fetch_add(1);
+}
+
+bool
+HttpAdminServer::service(Conn &c, const EventLoop::Ready &ev, double now)
+{
+    if (ev.error)
+        return false;
+    if (c.draining || (!c.responding && (ev.readable || ev.hangup))) {
+        char buf[2048];
+        for (;;) {
+            const ssize_t n = ::read(c.fd, buf, sizeof(buf));
+            if (n == 0)
+                return false; // the peer closed, or sent no full head
+            if (n < 0) {
+                if (errno == EINTR)
+                    continue;
+                if (errno != EAGAIN && errno != EWOULDBLOCK)
+                    return false;
+                break;
+            }
+            if (c.draining)
+                continue; // lingering close: discard until EOF
+            c.idleSince = now;
+            // Cap the buffered head: bytes beyond the limit cannot
+            // change the (431) outcome.
+            const std::size_t room = opts_.maxRequestBytes - c.in.size();
+            c.in.append(buf, std::min(static_cast<std::size_t>(n), room));
+            if (c.in.size() == opts_.maxRequestBytes)
+                break;
+        }
+        if (c.draining)
+            return true;
+        makeResponse(c);
+    }
+    if (!c.responding)
+        return true;
+    const ssize_t n = c.out.flush(c.fd);
+    if (n < 0)
+        return false;
+    if (n > 0)
+        c.idleSince = now;
+    if (c.out.empty()) {
+        // Fully answered: half-close and linger until the peer
+        // closes, so the response survives any unread request bytes
+        // (no RST).
+        ::shutdown(c.fd, SHUT_WR);
+        c.draining = true;
+    }
     return true;
 }
 
 void
 HttpAdminServer::serveLoop()
 {
-    std::vector<Conn> conns;
+    std::map<std::uint64_t, Conn> conns;
+    std::uint64_t next_id = kListenKey + 1;
+    auto drop = [&](std::map<std::uint64_t, Conn>::iterator it) {
+        loop_.remove(it->second.fd);
+        ::close(it->second.fd);
+        return conns.erase(it);
+    };
     while (!stop_requested_.load()) {
-        std::vector<pollfd> pfds;
-        pfds.push_back({wake_pipe_[0], POLLIN, 0});
-        pfds.push_back({listen_fd_, POLLIN, 0});
-        for (const Conn &c : conns) {
-            short events = c.responding && !c.draining ? POLLOUT
-                                                       : POLLIN;
-            pfds.push_back({c.fd, events, 0});
-        }
-        // Connections accepted below are appended past this point
-        // and have no pfd entry until the next iteration.
-        const std::size_t polled = conns.size();
-
-        int rc = ::poll(pfds.data(),
-                        static_cast<nfds_t>(pfds.size()), 250);
-        if (rc < 0 && errno != EINTR)
-            break;
+        listener_.watch(loop_, kListenKey, true);
+        loop_.wait(kWaitTimeoutMs);
         const double now = monotonicSeconds();
-
-        if (pfds[0].revents & POLLIN) {
-            char drain[64];
-            while (::read(wake_pipe_[0], drain, sizeof(drain)) > 0) {
-            }
-        }
-
-        if (pfds[1].revents & POLLIN) {
-            for (;;) {
-                int fd = ::accept(listen_fd_, nullptr, nullptr);
-                if (fd < 0)
-                    break;
-                if (!setNonBlocking(fd) ||
-                    conns.size() >= opts_.maxConnections) {
-                    ::close(fd);
-                    continue;
-                }
-                Conn c;
-                c.fd = fd;
-                c.idleSince = now;
-                conns.push_back(std::move(c));
-            }
-        }
-
-        // Service the connections that were polled; pfds[i + 2]
-        // pairs conns[i] for i < polled only.
-        std::vector<std::size_t> dead;
-        for (std::size_t i = 0; i < polled; ++i) {
-            Conn &c = conns[i];
-            const short revents = pfds[i + 2].revents;
-            bool drop = false;
-            if (revents & (POLLERR | POLLNVAL)) {
-                drop = true;
-            } else if (c.draining && (revents & (POLLIN | POLLHUP))) {
-                // Lingering close: discard whatever the peer still
-                // sends; its close (EOF) releases the connection.
-                char buf[2048];
-                for (;;) {
-                    ssize_t n = ::read(c.fd, buf, sizeof(buf));
-                    if (n > 0)
-                        continue;
-                    if (n < 0 &&
-                        (errno == EAGAIN || errno == EWOULDBLOCK))
-                        break;
-                    drop = true; // EOF or error: done
-                    break;
-                }
-            } else if (!c.responding && (revents & (POLLIN | POLLHUP))) {
-                char buf[2048];
-                for (;;) {
-                    ssize_t n = ::read(c.fd, buf, sizeof(buf));
-                    if (n > 0) {
-                        c.idleSince = now;
-                        // Cap the buffered head: bytes beyond the
-                        // limit cannot change the (431) outcome.
-                        const std::size_t room =
-                            opts_.maxRequestBytes > c.in.size()
-                                ? opts_.maxRequestBytes - c.in.size()
-                                : 0;
-                        c.in.append(
-                            buf, std::min<std::size_t>(
-                                     static_cast<std::size_t>(n), room));
-                        if (room == 0)
-                            break;
+        for (const EventLoop::Ready &ev : loop_.ready()) {
+            if (ev.key == kListenKey) {
+                for (int fd; (fd = listener_.accept()) >= 0;) {
+                    if (conns.size() >= opts_.maxConnections) {
+                        ::close(fd);
                         continue;
                     }
-                    if (n == 0) {
-                        // EOF before a full head: nothing to answer.
-                        if (!c.responding)
-                            drop = true;
-                        break;
-                    }
-                    if (errno == EAGAIN || errno == EWOULDBLOCK)
-                        break;
-                    drop = true;
-                    break;
+                    Conn &c = conns[next_id];
+                    c.fd = fd;
+                    c.idleSince = now;
+                    loop_.set(fd, EventLoop::kRead, next_id++);
                 }
-                if (!drop)
-                    makeResponse(c);
+                continue;
             }
-            if (!drop && c.responding && !c.draining &&
-                !c.out.empty()) {
-                while (c.outoff < c.out.size()) {
-                    ssize_t n = ::write(c.fd, c.out.data() + c.outoff,
-                                        c.out.size() - c.outoff);
-                    if (n > 0) {
-                        c.outoff += static_cast<std::size_t>(n);
-                        c.idleSince = now;
-                        continue;
-                    }
-                    if (n < 0 &&
-                        (errno == EAGAIN || errno == EWOULDBLOCK))
-                        break;
-                    drop = true;
-                    break;
-                }
-                if (c.outoff >= c.out.size()) {
-                    // Fully answered: half-close and linger until
-                    // the peer closes, so the response survives any
-                    // unread request bytes (no RST).
-                    ::shutdown(c.fd, SHUT_WR);
-                    c.draining = true;
-                }
+            auto it = conns.find(ev.key);
+            if (it == conns.end())
+                continue;
+            Conn &c = it->second;
+            if (!service(c, ev, now)) {
+                drop(it);
+                continue;
             }
-            if (!drop && now - c.idleSince > opts_.idleTimeoutSeconds)
-                drop = true;
-            if (drop)
-                dead.push_back(i);
+            loop_.set(c.fd,
+                      c.responding && !c.draining ? EventLoop::kWrite
+                                                  : EventLoop::kRead,
+                      ev.key);
         }
-        for (std::size_t k = dead.size(); k-- > 0;) {
-            ::close(conns[dead[k]].fd);
-            conns.erase(conns.begin() +
-                        static_cast<std::ptrdiff_t>(dead[k]));
+        for (auto it = conns.begin(); it != conns.end();) {
+            if (now - it->second.idleSince > opts_.idleTimeoutSeconds)
+                it = drop(it);
+            else
+                ++it;
         }
     }
-    for (Conn &c : conns)
-        ::close(c.fd);
+    while (!conns.empty())
+        drop(conns.begin());
 }
 
 } // namespace sap

@@ -19,13 +19,15 @@
  *    net/protocol: a hard cap on request bytes (431 when exceeded),
  *    request line of exactly three tokens, printable-ASCII target,
  *    malformed input earns a 400 and a close — never a crash.
- *  - One thread, poll()-based, handlers run inline on it. Handlers
- *    render obs snapshots (microseconds to low milliseconds); an
- *    admin port does not need concurrency, it needs predictability.
+ *  - One thread running an EventLoop over the listening socket
+ *    (net/listener.hh, with its accept backoff) and the open
+ *    connections; handlers run inline on it. Handlers render obs
+ *    snapshots (microseconds to low milliseconds); an admin port does
+ *    not need concurrency, it needs predictability.
  *
  * Routing is exact-path: register a handler per path; the query
  * string is split into key=value pairs and passed along. Unknown
- * paths earn 404. The owner (net/NetServer, or anything else)
+ * paths earn 404. The owner (obs/admin_plane.hh, or anything else)
  * registers handlers *before* start() — registration is not
  * thread-safe against a running server, by design.
  *
@@ -44,6 +46,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "net/event_loop.hh"
+#include "net/listener.hh"
+#include "net/protocol.hh"
 
 namespace sap {
 
@@ -116,8 +122,9 @@ class HttpAdminServer
          *  (a client that connects and sends nothing cannot pin a
          *  slot forever). */
         double idleTimeoutSeconds = 10.0;
-        /** Cap on simultaneously open admin connections; beyond it
-         *  the oldest pending connection is dropped. */
+        /** Cap on simultaneously open admin connections; a new
+         *  connection beyond it is closed at once (the open ones keep
+         *  their slots until they finish or idle out). */
         std::size_t maxConnections = 32;
     };
 
@@ -137,10 +144,8 @@ class HttpAdminServer
     /** Stop serving and join; idempotent, called by the destructor. */
     void stop();
 
-    bool running() const { return running_.load(); }
-
     /** Bound port (valid after a successful start()). */
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return listener_.port(); }
 
     /** Why start() failed (empty otherwise). */
     const std::string &error() const { return error_; }
@@ -156,8 +161,7 @@ class HttpAdminServer
     {
         int fd = -1;
         std::string in;       ///< request bytes so far
-        std::string out;      ///< response bytes not yet written
-        std::size_t outoff = 0;
+        OutQueue out;         ///< response bytes not yet written
         bool responding = false; ///< head parsed, response queued
         /** Response fully written; write side shut down, discarding
          *  reads until the peer closes (lingering close — an
@@ -169,19 +173,22 @@ class HttpAdminServer
     };
 
     void serveLoop();
+    /** Read, answer and write for one readiness record.
+     *  @return false to drop the connection now. */
+    bool service(Conn &conn, const EventLoop::Ready &ev, double now);
     /** Parse-and-dispatch once conn.in holds a full head (or is
-     *  hopeless); fills conn.out. @return false to drop now. */
-    bool makeResponse(Conn &conn);
+     *  hopeless); fills conn.out. */
+    void makeResponse(Conn &conn);
+    /** Queue @p resp on @p conn and count it served. */
+    void respond(Conn &conn, const HttpResponse &resp, bool head_only);
     HttpResponse dispatch(const HttpRequest &req);
 
     Options opts_;
     std::string error_;
     std::map<std::string, Handler> handlers_;
 
-    int listen_fd_ = -1;
-    int wake_pipe_[2] = {-1, -1};
-    std::uint16_t port_ = 0;
-    std::atomic<bool> running_{false};
+    Listener listener_;
+    EventLoop loop_;
     std::atomic<bool> stop_requested_{false};
     bool stopped_ = false;
     std::thread thread_;

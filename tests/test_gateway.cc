@@ -601,7 +601,7 @@ TEST(Gateway, DeadBackendRejoinsTheRingOnRecovery)
 TEST(Gateway, HealthzProbeAnswersAgainstARealAdminPlane)
 {
     NetServer::Options opts = backendOptions();
-    opts.adminEnabled = true;
+    opts.admin.enabled = true;
     NetServer server(opts);
     ASSERT_TRUE(server.start()) << server.error();
 

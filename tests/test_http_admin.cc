@@ -23,12 +23,17 @@
 #include <vector>
 
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "checkers.hh"
 #include "mat/generate.hh"
 #include "net/client.hh"
+#include "net/gateway.hh"
 #include "net/server.hh"
 #include "obs/health.hh"
 #include "obs/http_admin.hh"
@@ -570,9 +575,9 @@ adminServerOptions()
     NetServer::Options opts;
     opts.cluster.shards = 2;
     opts.cluster.threadsPerShard = 2;
-    opts.adminEnabled = true;
+    opts.admin.enabled = true;
     // Fast sampler so /timeseriesz fills within the test.
-    opts.samplerIntervalSeconds = 0.05;
+    opts.admin.samplerIntervalSeconds = 0.05;
     opts.trace.enabled = true;
     opts.trace.sampleEvery = 1;
     return opts;
@@ -589,6 +594,93 @@ matVecRequest(std::uint64_t seed, Index n = 6, Index w = 3)
     return req;
 }
 
+/**
+ * Every standard admin route of a running tier, parsed strictly.
+ * @p prom_line and @p varz_pair are a counter that the tier's traffic
+ * must have moved, as /metrics and /varz render it.
+ */
+void
+expectEveryEndpointServedStrictly(std::uint16_t port,
+                                  const FlightRecorder *rec,
+                                  const std::string &prom_line,
+                                  const std::string &varz_pair)
+{
+    // Index page.
+    ParsedResponse index = httpGet(port, "/");
+    ASSERT_TRUE(index.ok) << index.error;
+    EXPECT_EQ(index.status, 200);
+    EXPECT_NE(index.body.find("/metrics"), std::string::npos);
+
+    // /metrics: valid exposition with the serving metrics present.
+    ParsedResponse metrics = httpGet(port, "/metrics");
+    ASSERT_TRUE(metrics.ok) << metrics.error;
+    EXPECT_EQ(metrics.status, 200);
+    EXPECT_EQ(metrics.headers["content-type"].rfind("text/plain", 0),
+              0u);
+    PromChecker prom(metrics.body);
+    EXPECT_TRUE(prom.valid()) << prom.error();
+    EXPECT_NE(metrics.body.find(prom_line), std::string::npos)
+        << metrics.body;
+
+    // /varz: strict JSON of the same snapshot.
+    ParsedResponse varz = httpGet(port, "/varz");
+    ASSERT_TRUE(varz.ok) << varz.error;
+    EXPECT_EQ(varz.status, 200);
+    EXPECT_EQ(varz.headers["content-type"], "application/json");
+    EXPECT_TRUE(JsonChecker(varz.body).valid()) << varz.body;
+    EXPECT_NE(varz.body.find(varz_pair), std::string::npos);
+
+    // /healthz and /readyz: healthy under no load.
+    ParsedResponse healthz = httpGet(port, "/healthz");
+    ASSERT_TRUE(healthz.ok) << healthz.error;
+    EXPECT_EQ(healthz.status, 200);
+    EXPECT_EQ(healthz.body, "ok\n");
+    ParsedResponse readyz = httpGet(port, "/readyz");
+    ASSERT_TRUE(readyz.ok) << readyz.error;
+    EXPECT_EQ(readyz.status, 200);
+
+    // /tracez: strict JSON; committed traces from the traffic above.
+    ParsedResponse tracez = httpGet(port, "/tracez");
+    ASSERT_TRUE(tracez.ok) << tracez.error;
+    EXPECT_EQ(tracez.status, 200);
+    EXPECT_TRUE(JsonChecker(tracez.body).valid()) << tracez.body;
+    EXPECT_NE(tracez.body.find("\"total_committed\""),
+              std::string::npos);
+
+    // /tracez?format=chrome: a Perfetto-loadable download.
+    ParsedResponse chrome = httpGet(port, "/tracez?format=chrome");
+    ASSERT_TRUE(chrome.ok) << chrome.error;
+    EXPECT_TRUE(JsonChecker(chrome.body).valid());
+    EXPECT_NE(chrome.body.find("\"traceEvents\""), std::string::npos);
+    EXPECT_NE(chrome.headers["content-disposition"].find("attachment"),
+              std::string::npos);
+
+    // /timeseriesz: wait for the sampler to tick, then strict JSON.
+    ASSERT_NE(rec, nullptr);
+    for (int spin = 0; spin < 400 && rec->samplesTaken() < 3; ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_GE(rec->samplesTaken(), 3u);
+    ParsedResponse ts = httpGet(port, "/timeseriesz");
+    ASSERT_TRUE(ts.ok) << ts.error;
+    EXPECT_EQ(ts.status, 200);
+    EXPECT_TRUE(JsonChecker(ts.body).valid()) << ts.body;
+
+    // HEAD: headers with the body's Content-Length, empty body. The
+    // parser treats the body as absent, so Content-Length won't
+    // match — exchange manually.
+    ParsedResponse head = httpExchange(port,
+                                       "HEAD /healthz HTTP/1.1\r\n"
+                                       "Host: x\r\n\r\n");
+    EXPECT_FALSE(head.ok); // Content-Length > 0 with empty body
+    EXPECT_EQ(head.status, 200);
+    EXPECT_TRUE(head.body.empty());
+
+    // Unknown path.
+    ParsedResponse missing = httpGet(port, "/nope");
+    ASSERT_TRUE(missing.ok) << missing.error;
+    EXPECT_EQ(missing.status, 404);
+}
+
 TEST(HttpAdmin, ServesEveryEndpointStrictly)
 {
     NetServer server(adminServerOptions());
@@ -602,87 +694,208 @@ TEST(HttpAdmin, ServesEveryEndpointStrictly)
         NetClient::Result r = client.submit(matVecRequest(500 + i));
         ASSERT_TRUE(r.transportOk && r.response.ok);
     }
+    {
+        SCOPED_TRACE("NetServer admin plane");
+        expectEveryEndpointServedStrictly(
+            server.adminPort(), server.flightRecorder(),
+            "serve_requests_total 8", "\"serve_requests_total\":8");
+    }
 
-    // Index page.
-    ParsedResponse index = httpGet(server.adminPort(), "/");
-    ASSERT_TRUE(index.ok) << index.error;
-    EXPECT_EQ(index.status, 200);
-    EXPECT_NE(index.body.find("/metrics"), std::string::npos);
-
-    // /metrics: valid exposition with the serving metrics present.
-    ParsedResponse metrics = httpGet(server.adminPort(), "/metrics");
-    ASSERT_TRUE(metrics.ok) << metrics.error;
-    EXPECT_EQ(metrics.status, 200);
-    EXPECT_EQ(metrics.headers["content-type"].rfind("text/plain", 0),
-              0u);
-    PromChecker prom(metrics.body);
-    EXPECT_TRUE(prom.valid()) << prom.error();
-    EXPECT_NE(metrics.body.find("serve_requests_total 8"),
-              std::string::npos)
-        << metrics.body;
-
-    // /varz: strict JSON of the same snapshot.
-    ParsedResponse varz = httpGet(server.adminPort(), "/varz");
-    ASSERT_TRUE(varz.ok) << varz.error;
-    EXPECT_EQ(varz.status, 200);
-    EXPECT_EQ(varz.headers["content-type"], "application/json");
-    EXPECT_TRUE(JsonChecker(varz.body).valid()) << varz.body;
-    EXPECT_NE(varz.body.find("\"serve_requests_total\":8"),
-              std::string::npos);
-
-    // /healthz and /readyz: healthy under no load.
-    ParsedResponse healthz = httpGet(server.adminPort(), "/healthz");
-    ASSERT_TRUE(healthz.ok) << healthz.error;
-    EXPECT_EQ(healthz.status, 200);
-    EXPECT_EQ(healthz.body, "ok\n");
-    ParsedResponse readyz = httpGet(server.adminPort(), "/readyz");
-    ASSERT_TRUE(readyz.ok) << readyz.error;
-    EXPECT_EQ(readyz.status, 200);
-
-    // /tracez: strict JSON; committed traces from the traffic above.
-    ParsedResponse tracez = httpGet(server.adminPort(), "/tracez");
-    ASSERT_TRUE(tracez.ok) << tracez.error;
-    EXPECT_EQ(tracez.status, 200);
-    EXPECT_TRUE(JsonChecker(tracez.body).valid()) << tracez.body;
-    EXPECT_NE(tracez.body.find("\"total_committed\""),
-              std::string::npos);
-
-    // /tracez?format=chrome: a Perfetto-loadable download.
-    ParsedResponse chrome =
-        httpGet(server.adminPort(), "/tracez?format=chrome");
-    ASSERT_TRUE(chrome.ok) << chrome.error;
-    EXPECT_TRUE(JsonChecker(chrome.body).valid());
-    EXPECT_NE(chrome.body.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(chrome.headers["content-disposition"].find("attachment"),
-              std::string::npos);
-
-    // /timeseriesz: wait for the sampler to tick, then strict JSON.
-    const FlightRecorder *rec = server.flightRecorder();
-    ASSERT_NE(rec, nullptr);
-    for (int spin = 0; spin < 400 && rec->samplesTaken() < 3; ++spin)
+    // The gateway's admin plane: the same routes over the gateway's
+    // own registry, with the shared (fractional) sampler interval and
+    // the stitched /tracez.
+    Gateway::Options gopts;
+    gopts.backends = {{"127.0.0.1", server.port(), 0}};
+    gopts.admin.enabled = true;
+    gopts.admin.samplerIntervalSeconds = 0.05;
+    gopts.trace.enabled = true;
+    gopts.trace.sampleEvery = 1;
+    Gateway gw(gopts);
+    ASSERT_TRUE(gw.start()) << gw.error();
+    ASSERT_NE(gw.adminPort(), 0);
+    for (int spin = 0; spin < 1000 && gw.routableBackends() == 0; ++spin)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ASSERT_GE(rec->samplesTaken(), 3u);
-    ParsedResponse ts = httpGet(server.adminPort(), "/timeseriesz");
-    ASSERT_TRUE(ts.ok) << ts.error;
-    EXPECT_EQ(ts.status, 200);
-    EXPECT_TRUE(JsonChecker(ts.body).valid()) << ts.body;
+    ASSERT_EQ(gw.routableBackends(), 1u);
+    NetClient gw_client;
+    ASSERT_TRUE(gw_client.connect("127.0.0.1", gw.port()));
+    for (int i = 0; i < 8; ++i) {
+        NetClient::Result r = gw_client.submit(matVecRequest(600 + i));
+        ASSERT_TRUE(r.transportOk && r.response.ok);
+    }
+    {
+        SCOPED_TRACE("Gateway admin plane");
+        expectEveryEndpointServedStrictly(
+            gw.adminPort(), gw.flightRecorder(),
+            "gateway_requests_total 8", "\"gateway_requests_total\":8");
+    }
 
-    // HEAD: headers with the body's Content-Length, empty body. The
-    // parser treats the body as absent, so Content-Length won't
-    // match — exchange manually.
-    ParsedResponse head = httpExchange(server.adminPort(),
-                                       "HEAD /healthz HTTP/1.1\r\n"
-                                       "Host: x\r\n\r\n");
-    EXPECT_FALSE(head.ok); // Content-Length > 0 with empty body
-    EXPECT_EQ(head.status, 200);
-    EXPECT_TRUE(head.body.empty());
-
-    // Unknown path.
-    ParsedResponse missing = httpGet(server.adminPort(), "/nope");
-    ASSERT_TRUE(missing.ok) << missing.error;
-    EXPECT_EQ(missing.status, 404);
-
+    gw.stop();
     server.stop();
+}
+
+/** A connected loopback socket to @p port that has sent nothing. */
+int
+openIdle(std::uint16_t port)
+{
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** True when the server closed @p fd within @p timeout_ms (EOF or
+ *  reset, with no response bytes first). */
+bool
+closedByServer(int fd, int timeout_ms)
+{
+    struct pollfd pfd = {fd, POLLIN, 0};
+    if (::poll(&pfd, 1, timeout_ms) != 1)
+        return false;
+    char byte;
+    return ::recv(fd, &byte, 1, 0) <= 0;
+}
+
+HttpResponse
+okHandler(const HttpRequest &)
+{
+    HttpResponse resp;
+    resp.body = "ok\n";
+    return resp;
+}
+
+TEST(HttpAdmin, ConnectionCapRefusesNewAndIdleConnectionsExpire)
+{
+    HttpAdminServer::Options opts;
+    opts.maxConnections = 2;
+    opts.idleTimeoutSeconds = 0.3;
+    HttpAdminServer admin(opts);
+    admin.addHandler("/", okHandler);
+    ASSERT_TRUE(admin.start()) << admin.error();
+
+    // Two idle connections fill the cap...
+    const int first = openIdle(admin.port());
+    const int second = openIdle(admin.port());
+    ASSERT_GE(first, 0);
+    ASSERT_GE(second, 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    // ...so the next one is closed at once, while the two open ones
+    // keep their slots.
+    const auto refused_at = std::chrono::steady_clock::now();
+    const int third = openIdle(admin.port());
+    ASSERT_GE(third, 0);
+    EXPECT_TRUE(closedByServer(third, 2000));
+    EXPECT_LT(std::chrono::steady_clock::now() - refused_at,
+              std::chrono::milliseconds(250));
+    EXPECT_FALSE(closedByServer(first, 0));
+    EXPECT_FALSE(closedByServer(second, 0));
+    ::close(third);
+
+    // Having sent nothing, both idle out (0.3 s plus at most one
+    // wait period of the serving loop)...
+    EXPECT_TRUE(closedByServer(first, 3000));
+    EXPECT_TRUE(closedByServer(second, 3000));
+    ::close(first);
+    ::close(second);
+
+    // ...and their slots serve again.
+    ParsedResponse resp = httpGet(admin.port(), "/");
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_EQ(resp.status, 200);
+    EXPECT_EQ(admin.requestsServed(), 1u);
+    admin.stop();
+}
+
+/** The child half of PersistentAcceptFailureBacksOffInsteadOfSpinning;
+ *  returns its exit status (0 = pass). */
+int
+acceptFailureChild()
+{
+    // Only this (forked) process's own limit is lowered.
+    struct rlimit lim;
+    if (::getrlimit(RLIMIT_NOFILE, &lim) != 0)
+        return 10;
+    lim.rlim_cur = 64;
+    if (::setrlimit(RLIMIT_NOFILE, &lim) != 0)
+        return 11;
+    HttpAdminServer admin(HttpAdminServer::Options{});
+    admin.addHandler("/", okHandler);
+    if (!admin.start())
+        return 12;
+
+    // The client socket first, then every fd left: the admin thread
+    // cannot accept the connection made below (EMFILE), which stays
+    // pending and keeps the listening socket readable.
+    const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (client < 0)
+        return 13;
+    std::vector<int> fillers;
+    for (int fd; (fd = ::dup(client)) >= 0;)
+        fillers.push_back(fd);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(admin.port());
+    if (::connect(client, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0)
+        return 14;
+
+    // A loop spinning on the readable listener burns a whole core
+    // over this window; one that backs off sleeps through it.
+    auto cpu_seconds = [] {
+        struct rusage ru;
+        ::getrusage(RUSAGE_SELF, &ru);
+        return static_cast<double>(ru.ru_utime.tv_sec +
+                                   ru.ru_stime.tv_sec) +
+               1e-6 * static_cast<double>(ru.ru_utime.tv_usec +
+                                          ru.ru_stime.tv_usec);
+    };
+    const double window = 0.6;
+    const double cpu_before = cpu_seconds();
+    std::this_thread::sleep_for(std::chrono::duration<double>(window));
+    const double cpu_used = cpu_seconds() - cpu_before;
+    if (cpu_used > 0.3 * window)
+        return 15;
+
+    // Free the fds: the pending connection is accepted once the
+    // backoff ends, and served.
+    for (int fd : fillers)
+        ::close(fd);
+    const std::string req = "GET / HTTP/1.1\r\nHost: x\r\n\r\n";
+    if (::send(client, req.data(), req.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(req.size()))
+        return 16;
+    struct pollfd pfd = {client, POLLIN, 0};
+    char buf[64] = {};
+    if (::poll(&pfd, 1, 3000) != 1 ||
+        ::recv(client, buf, sizeof(buf) - 1, 0) < 12)
+        return 17;
+    if (std::string(buf).rfind("HTTP/1.1 200", 0) != 0)
+        return 18;
+    ::close(client);
+    admin.stop();
+    return 0;
+}
+
+TEST(HttpAdmin, PersistentAcceptFailureBacksOffInsteadOfSpinning)
+{
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0)
+        ::_exit(acceptFailureChild());
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    // 15: the admin thread spun on the pending connection; 17/18: it
+    // never served it once fds were free again.
+    EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST(HttpAdmin, MalformedOversizedAndNonGetNeverCrash)
@@ -739,9 +952,9 @@ TEST(HttpAdmin, HealthzFlipsUnderSaturationAndRecovers)
     // of requests genuinely queues.
     opts.cluster.shards = 1;
     opts.cluster.threadsPerShard = 1;
-    opts.adminEnabled = true;
-    opts.health.degradedQueueDepth = 2;
-    opts.health.unhealthyQueueDepth = 8;
+    opts.admin.enabled = true;
+    opts.admin.health.degradedQueueDepth = 2;
+    opts.admin.health.unhealthyQueueDepth = 8;
     NetServer server(opts);
     ASSERT_TRUE(server.start()) << server.error();
     const std::uint16_t port = server.adminPort();

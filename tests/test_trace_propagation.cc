@@ -359,7 +359,7 @@ TEST(TraceGatewayAdmin, StitchedTracezServesStrictJsonAndFilters)
     ASSERT_TRUE(backend.start()) << backend.error();
     Gateway::Options gopts =
         gatewayOptions({{"127.0.0.1", backend.port(), 0}});
-    gopts.adminEnabled = true;
+    gopts.admin.enabled = true;
     Gateway gw(gopts);
     ASSERT_TRUE(gw.start()) << gw.error();
     ASSERT_NE(gw.adminPort(), 0);

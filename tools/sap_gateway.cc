@@ -169,8 +169,8 @@ main(int argc, char **argv)
                 usage(argv[0]);
                 return 2;
             }
-            opts.adminEnabled = true;
-            opts.adminPort =
+            opts.admin.enabled = true;
+            opts.admin.port =
                 static_cast<std::uint16_t>(std::atoi(p));
         } else if (arg == "--trace") {
             opts.trace.enabled = true;
@@ -211,7 +211,7 @@ main(int argc, char **argv)
     std::printf("gateway listening on 127.0.0.1:%u over %zu "
                 "backends\n",
                 gw.port(), opts.backends.size());
-    if (opts.adminEnabled)
+    if (opts.admin.enabled)
         std::printf("admin plane on 127.0.0.1:%u (curl /tracez for "
                     "stitched traces)\n",
                     gw.adminPort());

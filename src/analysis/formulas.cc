@@ -117,6 +117,13 @@ tMesh(Index w, Index pbar, Index nbar, Index mbar)
     return nbar * mbar * (pbar * w + 2 * (w - 1));
 }
 
+Cycle
+tNoFeedback(Index w, Index nbar, Index mbar)
+{
+    SAP_ASSERT(w >= 1 && nbar >= 1 && mbar >= 1, "bad parameters");
+    return nbar * mbar * tMatVec(w, 1, 1);
+}
+
 double
 eMesh(Index w, Index pbar)
 {

@@ -110,6 +110,14 @@ Cycle tTriSolve(Index w, Index nbar);
 Cycle tMesh(Index w, Index pbar, Index nbar, Index mbar);
 
 /**
+ * Steps for the no-feedback baseline (no-feedback engine): each of
+ * the n̄·m̄ blocks is an independent one-block mat-vec that pays the
+ * full fill and drain, tMatVec(w, 1, 1) = 4w − 3 steps, and no two
+ * overlap: T = n̄m̄(4w − 3).
+ */
+Cycle tNoFeedback(Index w, Index nbar, Index mbar);
+
+/**
  * Mesh PE utilization over valid samples:
  * e = p̄w / (p̄w + 2(w−1)), asymptote 1 as the reduction grows.
  */

@@ -63,9 +63,15 @@ void
 Cluster::submitAsync(ServeRequest req, CompletionFn done)
 {
     Digest key = routingKey(req);
+    submitAsync(std::move(req), std::move(done), key);
+}
+
+void
+Cluster::submitAsync(ServeRequest req, CompletionFn done, Digest digest)
+{
     traceStamp(req.trace, TraceStage::Route);
-    Shard &shard = *shards_[router_.shardFor(key)];
-    shard.submitAsync(std::move(req), std::move(done), key);
+    Shard &shard = *shards_[router_.shardFor(digest)];
+    shard.submitAsync(std::move(req), std::move(done), digest);
 }
 
 void
@@ -81,9 +87,7 @@ Cluster::submitToQueue(ServeRequest req, CompletionQueue *queue,
                        std::uint64_t tag, Digest digest)
 {
     SAP_ASSERT(queue != nullptr, "submitToQueue() needs a queue");
-    traceStamp(req.trace, TraceStage::Route);
-    Shard &shard = *shards_[router_.shardFor(digest)];
-    shard.submitAsync(
+    submitAsync(
         std::move(req),
         [queue, tag](ServeResponse resp) {
             traceStamp(resp.trace, TraceStage::CqPush);

@@ -123,6 +123,17 @@ class Cluster
     void submitAsync(ServeRequest req, CompletionFn done);
 
     /**
+     * As submitAsync(), with @p digest = routingKey(req) already
+     * computed — the gateway tier's FORWARD hop passes its routing
+     * digest through so the matrices are hashed once per
+     * installation, not once per hop. @p digest is a hint: the shard
+     * plan cache confirms every digest hit with an exact matrix
+     * comparison, so a wrong digest costs cache locality, never
+     * correctness.
+     */
+    void submitAsync(ServeRequest req, CompletionFn done, Digest digest);
+
+    /**
      * Route @p req to its shard; on completion, push
      * {@p tag, response} onto @p queue. @p queue must stay alive
      * until the completion arrives (destroying the Cluster first
@@ -131,15 +142,8 @@ class Cluster
     void submitToQueue(ServeRequest req, CompletionQueue *queue,
                        std::uint64_t tag);
 
-    /**
-     * As submitToQueue(), with @p digest = routingKey(req) already
-     * computed — the gateway tier's FORWARD hop passes its routing
-     * digest through so the matrices are hashed once per
-     * installation, not once per hop. @p digest is a hint: the shard
-     * plan cache confirms every digest hit with an exact matrix
-     * comparison, so a wrong digest costs cache locality, never
-     * correctness.
-     */
+    /** As submitToQueue(), with the routing digest precomputed (see
+     *  the digest overload of submitAsync()). */
     void submitToQueue(ServeRequest req, CompletionQueue *queue,
                        std::uint64_t tag, Digest digest);
 

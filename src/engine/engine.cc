@@ -602,6 +602,10 @@ class OverlappedEngine : public SystolicEngine
     {
         SAP_ASSERT(plan.kind == kind(), "overlapped engine needs a "
                    "matvec plan");
+        // The split cuts between block rows; an input, not a bug.
+        if (plan.w <= 0 || plan.a.rows() <= plan.w)
+            throw EngineError("overlapped engine needs at least two "
+                              "block rows (rows > w)");
         return std::make_shared<MatVecPrepared>(plan);
     }
 

@@ -7,8 +7,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "mat/ops.hh"
 #include "net/listener.hh"
+#include "serve/shard.hh"
 
 namespace sap {
 
@@ -256,22 +256,10 @@ bool
 NetClient::matchesOracle(const ServeRequest &req,
                          const WireResponse &resp)
 {
-    switch (req.plan.kind) {
-    case ProblemKind::MatVec: {
-        Vec<Scalar> gold = matVec(req.plan.a, req.plan.x, req.plan.b);
-        return resp.y.size() == gold.size() &&
-               maxAbsDiff(resp.y, gold) == 0.0;
-    }
-    case ProblemKind::MatMul:
-        return resp.c ==
-               matMulAdd(req.plan.a, req.plan.bmat, req.plan.e);
-    case ProblemKind::TriSolve: {
-        Vec<Scalar> gold = forwardSolve(req.plan.a, req.plan.b);
-        return resp.y.size() == gold.size() &&
-               maxAbsDiff(resp.y, gold) == 0.0;
-    }
-    }
-    return false;
+    EngineRunResult result;
+    result.y = resp.y;
+    result.c = resp.c;
+    return sap::matchesOracle(req.plan, result);
 }
 
 } // namespace sap

@@ -145,9 +145,8 @@ class NetClient
 
     /**
      * Golden-model cross-check of a wire response against the host
-     * oracle for @p req — bit-exact, the same check the serving
-     * layer applies (integer workloads; trisolve wants unit-diagonal
-     * systems so every intermediate is exact).
+     * oracle for @p req: the serving layer's own check (serve/shard.hh
+     * matchesOracle), exact on integer workloads.
      */
     static bool matchesOracle(const ServeRequest &req,
                               const WireResponse &resp);

@@ -8,8 +8,8 @@
  * backend connection all use Connection.
  *
  * A Connection does not own its fd (a ConnectionSet does). Neither is
- * thread-safe; an owner whose other threads queue output (NetServer's
- * writer) holds its own lock around them.
+ * thread-safe; an owner whose other threads queue and write output
+ * (NetServer's shard workers) holds its own lock around them.
  */
 
 #ifndef SAP_NET_CONNECTION_HH
@@ -177,6 +177,13 @@ class ConnectionSet
     {
         auto it = conns_.find(key);
         return it == conns_.end() ? nullptr : it->second.get();
+    }
+
+    /** True once update() has seen @p key closing (and until it is
+     *  closed). */
+    bool closing(std::uint64_t key) const
+    {
+        return closing_.count(key) != 0;
     }
 
     /** Install @p conn's interest; track it for the sweep once it is

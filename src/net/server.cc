@@ -66,9 +66,8 @@ NetServer::start()
         return false;
     }
     if (stopped_) {
-        // stop() permanently shuts the completion queue down (its
-        // writer may have late completions to drain); a stopped
-        // server cannot be revived.
+        // stop() tears the cluster and the admin plane down for
+        // good; a stopped server cannot be revived.
         error_ = "NetServer cannot be restarted after stop(); "
                  "construct a new instance";
         return false;
@@ -90,7 +89,6 @@ NetServer::start()
     serving_.store(true);
     running_.store(true);
     io_thread_ = std::thread([this] { ioLoop(); });
-    writer_thread_ = std::thread([this] { writerLoop(); });
     SAP_LOG_INFO("net server listening on 127.0.0.1:", port(), " (",
                  opts_.cluster.shards, " shards, tracing ",
                  collector_.enabled() ? "on" : "off", ")");
@@ -107,12 +105,12 @@ NetServer::stop()
     stopped_ = true;
 
     // 0. Admin plane first: its threads call back into the cluster
-    //    and queue surfaces torn down below. The objects stay alive
-    //    (adminPort() remains answerable), only their threads stop.
+    //    torn down below. The objects stay alive (adminPort()
+    //    remains answerable), only their threads stop.
     admin_.stop();
 
     // 1. Stop accepting and reading; wait for the IO thread to
-    //    acknowledge, so no submitToQueue() races the cluster drain.
+    //    acknowledge, so no submitAsync() races the cluster drain.
     serving_.store(false);
     loop_.wake();
     {
@@ -121,20 +119,16 @@ NetServer::stop()
     }
 
     // 2. Drain the cluster: every accepted request completes and its
-    //    completion lands in queue_ (shards drain on destruction).
-    //    Under cluster_mutex_, so a STATS snapshot the writer is
-    //    taking right now finishes first.
+    //    worker delivers the response to its connection (shards
+    //    drain on destruction). Under cluster_mutex_, so a metrics
+    //    snapshot an admin or client thread is taking right now
+    //    finishes first.
     {
         std::lock_guard<std::mutex> lock(cluster_mutex_);
         cluster_.reset();
     }
 
-    // 3. The writer converts the remaining completions to output
-    //    buffers, then exits on the shutdown signal.
-    queue_.shutdown();
-    writer_thread_.join();
-
-    // 4. Let the IO thread flush what clients will accept (bounded),
+    // 3. Let the IO thread flush what clients will accept (bounded),
     //    then close everything.
     flush_and_exit_.store(true);
     loop_.wake();
@@ -147,8 +141,26 @@ NetServer::stop()
 NetServerStats
 NetServer::netStats() const
 {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return net_stats_;
+    NetServerStats out;
+    out.connectionsAccepted =
+        net_stats_.connectionsAccepted.load(std::memory_order_relaxed);
+    out.framesReceived =
+        net_stats_.framesReceived.load(std::memory_order_relaxed);
+    out.responsesSent =
+        net_stats_.responsesSent.load(std::memory_order_relaxed);
+    out.protocolErrors =
+        net_stats_.protocolErrors.load(std::memory_order_relaxed);
+    return out;
+}
+
+std::size_t
+NetServer::responsesOwed() const
+{
+    std::lock_guard<std::mutex> lock(conns_mutex_);
+    std::size_t total = 0;
+    for (const auto &entry : owed_)
+        total += entry.second;
+    return total;
 }
 
 MetricsSnapshot
@@ -172,14 +184,13 @@ NetServer::adminSources()
     src.health = [this] {
         HealthInputs in;
         in.serving = serving_.load();
-        in.queueDepth = static_cast<double>(queue_.size());
         {
             std::lock_guard<std::mutex> lock(cluster_mutex_);
             if (cluster_)
-                in.queueDepth += cluster_->queueDepth();
+                in.queueDepth = cluster_->queueDepth();
         }
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        in.protocolErrors = net_stats_.protocolErrors;
+        in.protocolErrors =
+            net_stats_.protocolErrors.load(std::memory_order_relaxed);
         return in;
     };
     src.p99Series = "serve_latency_micros:p99";
@@ -195,58 +206,13 @@ NetServer::adminSources()
 }
 
 void
-NetServer::forgetTags(std::uint64_t conn_id)
-{
-    std::lock_guard<std::mutex> lock(tags_mutex_);
-    for (auto it = tags_.begin(); it != tags_.end();) {
-        if (it->second.connId == conn_id)
-            it = tags_.erase(it);
-        else
-            ++it;
-    }
-}
-
-bool
-NetServer::hasPendingTags(std::uint64_t conn_id)
-{
-    {
-        std::lock_guard<std::mutex> lock(tags_mutex_);
-        for (const auto &entry : tags_)
-            if (entry.second.connId == conn_id)
-                return true;
-    }
-    std::lock_guard<std::mutex> lock(stats_requests_mutex_);
-    for (const PendingTag &req : stats_requests_)
-        if (req.connId == conn_id)
-            return true;
-    return false;
-}
-
-void
 NetServer::closeConnLocked(std::uint64_t conn_id)
 {
     conns_.close(conn_id);
     SAP_LOG_DEBUG("conn ", conn_id, " closed");
-    // Completions still in flight for this connection are dropped
-    // when the writer fails to find their tag mapping.
-    forgetTags(conn_id);
-}
-
-bool
-NetServer::enqueueOutput(std::uint64_t conn_id, OutFrame frame)
-{
-    {
-        std::lock_guard<std::mutex> lock(conns_mutex_);
-        Connection *conn = conns_.find(conn_id);
-        if (conn == nullptr)
-            return false; // connection is gone; drop the frame
-        conn->out.push(std::move(frame));
-        // The IO thread owns the event loop; ask it to pick up the
-        // new write interest when the wake lands.
-        interest_dirty_.push_back(conn_id);
-    }
-    loop_.wake();
-    return true;
+    // Completions still in flight for this connection find neither
+    // it nor an owed count, and are dropped.
+    owed_.erase(conn_id);
 }
 
 bool
@@ -265,7 +231,7 @@ NetServer::readReady(std::uint64_t conn_id, Connection &conn)
     if (end == Connection::End::Malformed) {
         // Frame-level violation: the stream cannot recover. One
         // ERROR frame, then close after the flush.
-        count(&NetServerStats::protocolErrors, inst_.protocolErrors);
+        count(net_stats_.protocolErrors, inst_.protocolErrors);
         SAP_LOG_WARN("conn ", conn_id,
                      ": unrecoverable frame error: ", err);
         std::lock_guard<std::mutex> lock(conns_mutex_);
@@ -275,13 +241,10 @@ NetServer::readReady(std::uint64_t conn_id, Connection &conn)
 }
 
 void
-NetServer::count(std::uint64_t NetServerStats::*stat, Counter *counter,
+NetServer::count(std::atomic<std::uint64_t> &stat, Counter *counter,
                  std::uint64_t n)
 {
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        net_stats_.*stat += n;
-    }
+    stat.fetch_add(n, std::memory_order_relaxed);
     if (counter)
         counter->add(n);
 }
@@ -290,11 +253,11 @@ void
 NetServer::handleFrame(std::uint64_t conn_id, Connection &conn,
                        const Frame &frame)
 {
-    count(&NetServerStats::framesReceived, inst_.framesReceived);
+    count(net_stats_.framesReceived, inst_.framesReceived);
     const std::uint64_t tag = frame.header.tag;
 
     auto send_error = [&](const std::string &message) {
-        count(&NetServerStats::protocolErrors, inst_.protocolErrors);
+        count(net_stats_.protocolErrors, inst_.protocolErrors);
         SAP_LOG_DEBUG("conn ", conn_id, ": protocol error: ", message);
         std::lock_guard<std::mutex> lock(conns_mutex_);
         conn.out.push(buildErrorFrame(tag, message));
@@ -325,17 +288,18 @@ NetServer::handleFrame(std::uint64_t conn_id, Connection &conn,
                         ? collector_.adopt(req.traceContext)
                         : collector_.begin();
         traceStamp(req.trace, TraceStage::Decode);
-        std::uint64_t server_tag;
         {
-            std::lock_guard<std::mutex> lock(tags_mutex_);
-            server_tag = next_tag_++;
-            tags_[server_tag] = {conn_id, tag};
+            std::lock_guard<std::mutex> lock(conns_mutex_);
+            ++owed_[conn_id];
         }
+        CompletionFn done = [this, conn_id, tag](ServeResponse resp) {
+            deliver(conn_id, tag, std::move(resp));
+        };
         if (forward)
-            cluster_->submitToQueue(std::move(req), &queue_, server_tag,
-                                    digest);
+            cluster_->submitAsync(std::move(req), std::move(done),
+                                  digest);
         else
-            cluster_->submitToQueue(std::move(req), &queue_, server_tag);
+            cluster_->submitAsync(std::move(req), std::move(done));
         return;
     }
     case static_cast<std::uint16_t>(FrameType::Ping): {
@@ -350,25 +314,21 @@ NetServer::handleFrame(std::uint64_t conn_id, Connection &conn,
     case static_cast<std::uint16_t>(FrameType::Metrics):
     case static_cast<std::uint16_t>(FrameType::Traces): {
         // Empty payload = request (a snapshot in either direction is
-        // harmless to serve again, so no payload check). The
-        // snapshot + encode work is milliseconds on a loaded
-        // installation, so it runs on the writer thread — the IO
-        // thread only hands the request over via the tag-0 marker.
-        // TRACES is the scatter leg of the gateway's stitched
-        // /tracez.
-        const SnapKind kind =
+        // harmless to serve again, so no payload check). Snapshot and
+        // encode run inline: they are operator traffic, off the
+        // request path. TRACES is the scatter leg of the gateway's
+        // stitched /tracez.
+        std::vector<std::uint8_t> reply =
             frame.header.type ==
                     static_cast<std::uint16_t>(FrameType::Stats)
-                ? SnapKind::Stats
+                ? buildStatsFrame(tag, cluster_->statsSnapshot())
             : frame.header.type ==
                     static_cast<std::uint16_t>(FrameType::Metrics)
-                ? SnapKind::Metrics
-                : SnapKind::Traces;
-        {
-            std::lock_guard<std::mutex> lock(stats_requests_mutex_);
-            stats_requests_.push_back({conn_id, tag, kind});
-        }
-        queue_.push({0, {}});
+                ? buildMetricsFrame(tag, metricsSnapshot())
+                : buildTracesFrame(tag, collector_.snapshot(),
+                                   collector_.totalCommitted());
+        std::lock_guard<std::mutex> lock(conns_mutex_);
+        conn.out.push(std::move(reply));
         return;
     }
     case static_cast<std::uint16_t>(FrameType::Response):
@@ -407,9 +367,10 @@ NetServer::ioLoop()
         {
             std::lock_guard<std::mutex> lock(conns_mutex_);
             // Interest masks are event-driven, not rebuilt per
-            // wakeup: only connections somebody marked dirty (the
-            // writer buffering a response, backpressure crossings)
-            // are touched — unless the serving flag just flipped or
+            // wakeup: only connections a shard worker marked dirty
+            // (output left over, backpressure crossings, a closing
+            // connection owed nothing more) are touched — unless the
+            // serving flag just flipped or
             // we are flushing to exit, which changes every mask.
             if (serving != was_serving || exiting) {
                 conns_.updateAll(serving);
@@ -421,11 +382,11 @@ NetServer::ioLoop()
             interest_dirty_.clear();
             was_serving = serving;
 
-            // Swept every wakeup (bounded by the closing set, not the
-            // connection count) because the final tag erase happens
-            // writer-side without a wake.
-            conns_.sweep(
-                [this](std::uint64_t id) { return hasPendingTags(id); });
+            // Swept every wakeup, bounded by the closing set, not the
+            // connection count.
+            conns_.sweep([this](std::uint64_t id) {
+                return owed_.count(id) != 0;
+            });
             if (inst_.connectionsLive)
                 inst_.connectionsLive->set(
                     static_cast<double>(conns_.size()));
@@ -446,7 +407,7 @@ NetServer::ioLoop()
                     std::lock_guard<std::mutex> lock(conns_mutex_);
                     accepted = conns_.acceptAll(listener_, serving);
                 }
-                count(&NetServerStats::connectionsAccepted,
+                count(net_stats_.connectionsAccepted,
                       inst_.connectionsAccepted, accepted);
                 continue;
             }
@@ -476,7 +437,7 @@ NetServer::ioLoop()
             // Gated on `serving` (not just the installed interest):
             // both backends report hangup even when reads were not
             // asked for, and once this iteration acknowledged
-            // quiesce, reading — and the submitToQueue it can
+            // quiesce, reading — and the submitAsync it can
             // trigger — must not race stop()'s cluster teardown.
             if (alive && serving && (ev.readable || ev.hangup))
                 alive = readReady(conn_id, *conn);
@@ -507,91 +468,63 @@ NetServer::ioLoop()
 }
 
 void
-NetServer::writerLoop()
+NetServer::deliver(std::uint64_t conn_id, std::uint64_t client_tag,
+                   ServeResponse resp)
 {
-    Completion c;
-    while (queue_.next(&c)) {
-        if (c.tag == 0) {
-            // STATS/METRICS marker from the IO thread: snapshot,
-            // encode, and deliver here so the poll loop never stalls
-            // on it. The request is peeked, not popped, until the
-            // frame is buffered — its deque entry is what keeps a
-            // half-closed requester open (hasPendingTags).
-            PendingTag stats_req;
-            {
-                std::lock_guard<std::mutex> lock(
-                    stats_requests_mutex_);
-                if (stats_requests_.empty())
-                    continue;
-                stats_req = stats_requests_.front();
-            }
-            if (stats_req.kind == SnapKind::Metrics) {
-                // metricsSnapshot() takes cluster_mutex_ itself and
-                // degrades to the wire-level half during shutdown —
-                // still a well-formed frame, so always deliver.
-                enqueueOutput(stats_req.connId,
-                              buildMetricsFrame(stats_req.clientTag,
-                                                metricsSnapshot()));
-            } else if (stats_req.kind == SnapKind::Traces) {
-                enqueueOutput(
-                    stats_req.connId,
-                    buildTracesFrame(stats_req.clientTag,
-                                     collector_.snapshot(),
-                                     collector_.totalCommitted()));
-            } else {
-                ServerStats stats;
-                bool have = false;
-                {
-                    std::lock_guard<std::mutex> lock(cluster_mutex_);
-                    if (cluster_) { // else: shutting down, drop it
-                        stats = cluster_->statsSnapshot();
-                        have = true;
-                    }
-                }
-                if (have)
-                    enqueueOutput(stats_req.connId,
-                                  buildStatsFrame(stats_req.clientTag,
-                                                  stats));
-            }
-            std::lock_guard<std::mutex> lock(stats_requests_mutex_);
-            stats_requests_.pop_front();
-            continue;
-        }
-        PendingTag pending;
-        {
-            std::lock_guard<std::mutex> lock(tags_mutex_);
-            auto it = tags_.find(c.tag);
-            if (it == tags_.end())
-                continue; // connection died; drop the response
-            pending = it->second;
-            // NOT erased yet: the tag entry is what keeps the IO
-            // thread from closing a half-closed (EOF'd) connection
-            // that is still owed this response. Erase only after
-            // the frame is in the connection's output buffer.
-        }
-        // WireResponse::of moves the response, so detach the trace
-        // (and its outcome) first.
-        std::shared_ptr<RequestTrace> trace = c.response.trace;
-        if (trace) {
-            trace->ok = c.response.ok;
-            trace->stamp(TraceStage::WriterPop);
-        }
-        bool delivered = enqueueOutput(
-            pending.connId,
-            buildResponseFrame(pending.clientTag,
-                               WireResponse::of(std::move(c.response))));
-        {
-            std::lock_guard<std::mutex> lock(tags_mutex_);
-            tags_.erase(c.tag);
-        }
-        if (delivered) {
-            count(&NetServerStats::responsesSent, inst_.responsesSent);
-        }
-        // Flush = response bytes handed to the socket layer; the
-        // commit decides sampled-or-slow and records stage spans.
-        traceStamp(trace, TraceStage::Flush);
-        collector_.finish(trace);
+    // CqPush and WriterPop keep their slots: the hand-off they bound
+    // is now this call, so their gap reads ~0. WireResponse::of moves
+    // the response, so detach the trace (and its outcome) first.
+    std::shared_ptr<RequestTrace> trace = std::move(resp.trace);
+    if (trace) {
+        trace->ok = resp.ok;
+        trace->stamp(TraceStage::CqPush);
+        trace->stamp(TraceStage::WriterPop);
     }
+    OutFrame frame = buildResponseFrame(
+        client_tag, WireResponse::of(std::move(resp)));
+
+    bool wake = false;
+    {
+        std::lock_guard<std::mutex> lock(conns_mutex_);
+        Connection *conn = conns_.find(conn_id);
+        if (conn == nullptr)
+            return; // closed: its owed count went with it
+        auto owed = owed_.find(conn_id);
+        SAP_ASSERT(owed != owed_.end(), "conn ", conn_id,
+                   " delivered a response it was not owed");
+        const bool owes_more = --owed->second != 0;
+        if (!owes_more)
+            owed_.erase(owed);
+        // Counted before the bytes can reach the socket, so a client
+        // that has read its response also sees it counted.
+        count(net_stats_.responsesSent, inst_.responsesSent);
+
+        const std::size_t cap = opts_.maxQueuedOutputBytes;
+        const std::size_t before = conn->out.queuedBytes();
+        conn->out.push(std::move(frame));
+        if (before == 0) {
+            const ssize_t n = conn->out.flush(conn->fd);
+            if (n > 0 && inst_.bytesOut)
+                inst_.bytesOut->add(static_cast<std::uint64_t>(n));
+            // Leftovers need write interest; a failed write needs the
+            // IO thread to see the error and close.
+            wake = n < 0 || !conn->out.empty();
+        }
+        // Over the cap, reads must stop (backpressure); a closing
+        // connection owed nothing more is the sweep's to close.
+        wake = wake ||
+               (before <= cap && conn->out.queuedBytes() > cap) ||
+               (!owes_more && conns_.closing(conn_id));
+        if (wake)
+            interest_dirty_.push_back(conn_id);
+    }
+    if (wake)
+        loop_.wake();
+    // Flush = response bytes handed to the socket layer (or queued
+    // for the IO thread); the commit decides sampled-or-slow and
+    // records stage spans.
+    traceStamp(trace, TraceStage::Flush);
+    collector_.finish(trace);
 }
 
 } // namespace sap

@@ -10,15 +10,19 @@
  * are updated where connection state changes rather than rebuilt per
  * wakeup, so ten thousand mostly-idle connections cost nothing per
  * event. Decoded SUBMIT frames go straight into
- * Cluster::submitToQueue(), and a writer thread drains the shared
- * CompletionQueue into per-connection output queues (each RESPONSE
- * encoded in one pass, queued whole, written by sendmsg). The shards
- * therefore never block on a client: a slow reader only grows its
- * own queue while every other connection keeps streaming.
+ * Cluster::submitAsync(), and the shard worker that served a request
+ * delivers its RESPONSE itself: it encodes the frame in one pass,
+ * appends it to the connection's output queue and, when that queue
+ * was empty, writes it through with one non-blocking sendmsg. The IO
+ * thread is woken only when it has something to do — bytes the
+ * socket did not take, a failed write, a queue over its backpressure
+ * cap, or a closing connection now owed nothing. The shards never
+ * block on a client: a slow reader only grows its own queue while
+ * every other connection keeps streaming.
  *
- *          clients ──TCP──▶ IO thread ──submitToQueue──▶ Cluster
- *             ▲                 │ flush                      │
- *             └── output bufs ◀─┴── writer thread ◀── CompletionQueue
+ *          clients ──TCP──▶ IO thread ──submitAsync──▶ Cluster
+ *             ▲                 │ flush (leftovers)        │
+ *             └── output bufs ◀─┴──── write-through ◀── shard worker
  *
  * Error policy (see net/protocol.hh): payload-level garbage (unknown
  * problem kind, zero dimensions, truncated payload) earns an ERROR
@@ -44,12 +48,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.hh"
@@ -104,8 +107,9 @@ class NetServer
         /**
          * End-to-end request tracing (obs/trace_ring.hh): when
          * enabled, every SUBMIT gets stage timestamps from frame
-         * decode through writer flush; sampled-or-slow traces land
-         * in the collector, exportable via traceSnapshot().
+         * decode through the shard worker's write-through flush;
+         * sampled-or-slow traces land in the collector, exportable
+         * via traceSnapshot().
          */
         TraceConfig trace;
         /**
@@ -130,8 +134,8 @@ class NetServer
     NetServer &operator=(const NetServer &) = delete;
 
     /**
-     * Bind, listen on 127.0.0.1, and spawn the IO and writer
-     * threads. @return false (with error() set) if the socket setup
+     * Bind, listen on 127.0.0.1, and spawn the IO thread.
+     * @return false (with error() set) if the socket setup
      * failed; calling start() twice is an error.
      */
     bool start();
@@ -150,6 +154,10 @@ class NetServer
 
     /** Wire-level counters. */
     NetServerStats netStats() const;
+
+    /** Responses accepted for live connections and not yet queued
+     *  on them (what keeps a half-closed connection open). */
+    std::size_t responsesOwed() const;
 
     /**
      * Whole-installation obs/ metrics: the server's wire-level
@@ -188,64 +196,42 @@ class NetServer
     }
 
   private:
-    /** Which snapshot a tag-0 marker requests (see writerLoop()). */
-    enum class SnapKind : std::uint8_t
+    /** NetServerStats as relaxed atomics: the IO thread and every
+     *  shard worker add to them. */
+    struct AtomicStats
     {
-        Stats,
-        Metrics,
-        Traces,
-    };
-
-    /** Where a completion must be delivered. */
-    struct PendingTag
-    {
-        std::uint64_t connId;
-        std::uint64_t clientTag;
-        /** Snapshot requests only: which snapshot frame to serve. */
-        SnapKind kind = SnapKind::Stats;
+        std::atomic<std::uint64_t> connectionsAccepted{0};
+        std::atomic<std::uint64_t> framesReceived{0};
+        std::atomic<std::uint64_t> responsesSent{0};
+        std::atomic<std::uint64_t> protocolErrors{0};
     };
 
     void ioLoop();
-    void writerLoop();
     /** Read until EAGAIN; decode and handle frames. @return false if
      *  the connection must be dropped immediately. */
     bool readReady(std::uint64_t conn_id, Connection &conn);
     void handleFrame(std::uint64_t conn_id, Connection &conn,
                      const Frame &frame);
-    /** Add @p n to one NetServerStats field and its registry counter
-     *  (may be null). */
-    void count(std::uint64_t NetServerStats::*stat, Counter *counter,
-               std::uint64_t n = 1);
-    /** Queue an encoded frame on the connection (under
-     *  conns_mutex_) and wake the IO thread.
-     *  @return false when the connection is gone (frame dropped). */
-    bool enqueueOutput(std::uint64_t conn_id, OutFrame frame);
+    /** Add @p n to one stats field and its registry counter (may be
+     *  null). */
+    static void count(std::atomic<std::uint64_t> &stat,
+                      Counter *counter, std::uint64_t n = 1);
+    /**
+     * Completion callback of one SUBMIT/FORWARD, run on the shard
+     * worker that served it: encode the RESPONSE, append it to
+     * @p conn_id's output queue, write it through when that queue was
+     * empty, and wake the IO thread only when it has work (see file
+     * comment). A response for a closed connection is dropped.
+     */
+    void deliver(std::uint64_t conn_id, std::uint64_t client_tag,
+                 ServeResponse resp);
     void closeConnLocked(std::uint64_t conn_id);
-    /** Drop completions addressed to a dead connection. */
-    void forgetTags(std::uint64_t conn_id);
-    /** True while responses for this connection are still in flight
-     *  (the IO thread must not close it yet; see ioLoop()). */
-    bool hasPendingTags(std::uint64_t conn_id);
 
     Options opts_;
     std::string error_;
 
     /** Serializes start()/stop() against each other. */
     std::mutex lifecycle_mutex_;
-
-    /**
-     * Destruction order contract: queue_ outlives cluster_ (declared
-     * before it), because shard workers push completions into the
-     * queue while the cluster drains.
-     */
-    CompletionQueue queue_;
-    /** Serializes the writer thread's cluster use (STATS/METRICS
-     *  snapshots, including const metricsSnapshot()) against stop()'s
-     *  cluster teardown. The IO thread needs no lock: its cluster
-     *  calls stop at the quiesce handshake, before stop() resets the
-     *  pointer. */
-    mutable std::mutex cluster_mutex_;
-    std::unique_ptr<Cluster> cluster_;
 
     Listener listener_;
 
@@ -255,14 +241,14 @@ class NetServer
      * via interest_dirty_ + wake().
      */
     EventLoop loop_;
-    /** Connections whose interest mask may be stale (e.g. the
-     *  writer buffered output for them); drained by the IO thread
+    /** Connections whose interest mask may be stale (a shard worker
+     *  left output or crossed the backpressure cap, or a closing
+     *  connection became owed nothing); drained by the IO thread
      *  each wakeup. Guarded by conns_mutex_. */
     std::vector<std::uint64_t> interest_dirty_;
 
     std::atomic<bool> running_{false};
-    /** One-shot lifecycle: set by stop(); start() then refuses (the
-     *  completion queue cannot be un-shut-down). */
+    /** One-shot lifecycle: set by stop(); start() then refuses. */
     bool stopped_ = false;
     /** IO thread stops accepting/reading when false (shutdown). */
     std::atomic<bool> serving_{false};
@@ -274,28 +260,20 @@ class NetServer
     std::condition_variable quiesce_cv_;
 
     std::thread io_thread_;
-    std::thread writer_thread_;
 
-    /** Guards conns_: the IO thread reads, flushes and closes, the
-     *  writer queues output. Event-loop key 0 is the listen socket;
-     *  connection ids start above it. */
+    /** Guards conns_ and owed_: the IO thread reads, flushes and
+     *  closes; shard workers queue and write through responses.
+     *  Event-loop key 0 is the listen socket; connection ids start
+     *  above it. */
     mutable std::mutex conns_mutex_;
     ConnectionSet conns_;
+    /** Responses still owed per connection (submitted, not yet
+     *  delivered); absent = none. A closing connection stays open
+     *  until it is owed nothing. Entries of closed connections are
+     *  erased, and their late completions are dropped. */
+    std::unordered_map<std::uint64_t, std::size_t> owed_;
 
-    std::mutex tags_mutex_;
-    /** Starts at 1: server tag 0 is the STATS marker (see
-     *  writerLoop()). */
-    std::uint64_t next_tag_ = 1;
-    std::map<std::uint64_t, PendingTag> tags_;
-
-    /** STATS/METRICS requests handed from the IO thread to the
-     *  writer, so the snapshot+encode work never stalls the poll
-     *  loop. */
-    std::mutex stats_requests_mutex_;
-    std::deque<PendingTag> stats_requests_;
-
-    mutable std::mutex stats_mutex_;
-    NetServerStats net_stats_;
+    AtomicStats net_stats_;
 
     /** Wire-level obs/ registry; null when Options::metrics is off.
      *  Also receives the collector's trace stage histograms. */
@@ -315,12 +293,23 @@ class NetServer
      *  outlive it. */
     TraceCollector collector_;
 
+    /** Serializes metricsSnapshot() and the admin plane's cluster
+     *  reads against stop()'s cluster teardown. The IO thread needs
+     *  no lock: its cluster calls stop at the quiesce handshake,
+     *  before stop() resets the pointer. */
+    mutable std::mutex cluster_mutex_;
+    /** Declared after everything its completion callbacks touch
+     *  (conns_, owed_, loop_, the stats, collector_), so even a
+     *  cluster destroyed with work in flight drains into live
+     *  connections. */
+    std::unique_ptr<Cluster> cluster_;
+
     /** What the admin plane reads from this server. */
     AdminPlane::Sources adminSources();
 
     /**
      * Admin plane. Declared last: its threads call back into
-     * everything above (metricsSnapshot, queue_, collector_), so it
+     * everything above (metricsSnapshot, cluster_, collector_), so it
      * must be destroyed first — and stop() shuts it down before the
      * cluster teardown for the same reason.
      */

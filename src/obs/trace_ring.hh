@@ -1,25 +1,29 @@
 /**
  * @file
  * End-to-end request tracing: stage timestamps carried with each
- * request through the net → cluster → shard → writer pipeline, with
- * sampled commits into bounded per-thread ring buffers.
+ * request through the net → cluster → shard → delivery pipeline,
+ * with sampled commits into bounded per-thread ring buffers.
  *
- * A served request crosses four thread domains (the server IO thread,
- * the shard worker that executes it, the completion-queue writer
- * thread, plus routing in between); per-(engine,shape) latency totals
- * cannot say *which* domain a slow request spent its time in. Tracing
- * answers that: each traced request carries a RequestTrace — a
- * request id plus one monotonic timestamp per TraceStage — stamped as
- * it passes each boundary. Stages map to the wire/cluster pipeline:
+ * A served request crosses thread domains (the server IO thread, the
+ * shard pool's queue, the shard worker that executes and delivers
+ * it); per-(engine,shape) latency totals cannot say *which* domain a
+ * slow request spent its time in. Tracing answers that: each traced
+ * request carries a RequestTrace — a request id plus one monotonic
+ * timestamp per TraceStage — stamped as it passes each boundary.
+ * Stages map to the wire/cluster pipeline:
  *
  *   Decode    SUBMIT frame decoded on the IO thread
  *   Route     consistent-hash shard selection in the cluster
  *   Dequeue   shard worker picked the request off the pool queue
  *   Prepare   plan-cache lookup done (hit or rebuilt)
  *   Execute   engine runPrepared returned
- *   CqPush    completion pushed onto the CompletionQueue
- *   WriterPop writer thread popped the completion
- *   Flush     response bytes handed to the socket layer
+ *   CqPush    completion handed to its consumer (a CompletionQueue
+ *             push for Cluster::submitToQueue users)
+ *   WriterPop consumer took the completion; NetServer's shard worker
+ *             delivers its own responses, so at the backend it is
+ *             stamped right after CqPush and their gap reads ~0
+ *   Flush     response bytes written to the socket (or queued for
+ *             the IO thread when the socket is busy)
  *
  * Cost model: when tracing is enabled every request gets a
  * RequestTrace (one small allocation plus one steady_clock read per

@@ -1,6 +1,8 @@
 #include "serve/shard.hh"
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "analysis/formulas.hh"
@@ -55,23 +57,6 @@ shapeKeyOf(const std::string &engine_name, const EnginePlan &plan)
     return key;
 }
 
-/**
- * Exact comparison against the host oracle. Trisolve requests
- * divide, so cross-checked workloads should keep the intermediates
- * representable (e.g. unit-diagonal integer systems); the tolerance
- * hook for real-valued workloads is the ROADMAP float item.
- */
-bool
-matchesOracle(const EnginePlan &plan, const EngineRunResult &r)
-{
-    if (plan.kind == ProblemKind::MatMul)
-        return r.c == matMulAdd(plan.a, plan.bmat, plan.e);
-    Vec<Scalar> gold = plan.kind == ProblemKind::MatVec
-        ? matVec(plan.a, plan.x, plan.b)
-        : forwardSolve(plan.a, plan.b);
-    return r.y.size() == gold.size() && maxAbsDiff(r.y, gold) == 0.0;
-}
-
 /** One instance of every registered engine, by name. */
 std::map<std::string, std::unique_ptr<SystolicEngine>>
 makeEngineTable()
@@ -98,14 +83,124 @@ sameBinding(const ServeRequest &a, const ServeRequest &b)
             sameDenseBytes(a.plan.bmat, b.plan.bmat));
 }
 
+/** Unit roundoff of Scalar (binary64): u = 2^-53. */
+constexpr double kUnitRoundoff =
+    std::numeric_limits<Scalar>::epsilon() / 2;
+
+/** Integers up to 2^53 are exact in binary64, and so is every sum
+ *  and product of them that stays below it. */
+constexpr double kExactIntegers = 9007199254740992.0;
+
+/** Higham's γ_k = k·u / (1 − k·u). */
+double
+gammaK(Index k)
+{
+    const double ku = static_cast<double>(k) * kUnitRoundoff;
+    return ku / (1.0 - ku);
+}
+
+/** True when every element of @p m (a Dense or a Vec) is a finite
+ *  integer. */
+template <typename M>
+bool
+allIntegral(const M &m)
+{
+    for (Scalar s : m.data())
+        if (!std::isfinite(s) || std::trunc(s) != s)
+            return false;
+    return true;
+}
+
 /**
- * The paper's closed-form cycle count for @p plan on @p engine_name
- * (§4–§5 via analysis/formulas.hh), or -1 when no formula covers the
- * engine (grouped/spiral/no-feedback have extra scheduling slack the
- * closed forms do not model). Feeds the measured-vs-analytic drift
- * gauge: continuous serving-time evidence that the simulators still
- * track the formulas.
+ * One component of a k-term sum checked against 2γ_k·@p magnitude,
+ * where @p err is the difference (or residual) to bound and
+ * @p magnitude the sum of the terms' absolute values; γ_{k+1} covers
+ * the rounding of @p magnitude itself. Integral terms whose magnitude
+ * stays below 2^53 are summed exactly in any order, so there the
+ * bound is 0.
  */
+bool
+withinBound(double err, double magnitude, Index k, bool integral)
+{
+    if (err == 0.0)
+        return true;
+    if (integral && magnitude <= kExactIntegers)
+        return false;
+    return std::fabs(err) <= 2.0 * gammaK(k + 1) * magnitude;
+}
+
+} // namespace
+
+bool
+matchesOracle(const EnginePlan &plan, const EngineRunResult &r)
+{
+    const Dense<Scalar> &a = plan.a;
+    const Index n = a.rows();
+    const Index p = a.cols();
+    if (plan.kind == ProblemKind::MatMul) {
+        // Any summation order of the p + 1 terms of c_ij errs by at
+        // most γ_{p+1}·(|A||B| + |E|)_ij, so the engine and the host
+        // oracle differ by at most twice that.
+        const Dense<Scalar> &b = plan.bmat;
+        const Index m = b.cols();
+        if (r.c.rows() != n || r.c.cols() != m)
+            return false;
+        const Dense<Scalar> gold = matMulAdd(a, b, plan.e);
+        const bool exact =
+            allIntegral(a) && allIntegral(b) && allIntegral(plan.e);
+        for (Index i = 0; i < n; ++i)
+            for (Index j = 0; j < m; ++j) {
+                double mag = std::fabs(plan.e(i, j));
+                for (Index k = 0; k < p; ++k)
+                    mag += std::fabs(a(i, k)) * std::fabs(b(k, j));
+                if (r.c(i, j) != gold(i, j) &&
+                    !withinBound(r.c(i, j) - gold(i, j), mag, p + 1,
+                                 exact))
+                    return false;
+            }
+        return true;
+    }
+    if (r.y.size() != n)
+        return false;
+    if (plan.kind == ProblemKind::MatVec) {
+        // As for mat-mul: γ_{p+1}·(|A||x| + |b|)_i per engine.
+        const Vec<Scalar> gold = matVec(a, plan.x, plan.b);
+        const bool exact =
+            allIntegral(a) && allIntegral(plan.x) && allIntegral(plan.b);
+        for (Index i = 0; i < n; ++i) {
+            double mag = std::fabs(plan.b[i]);
+            for (Index k = 0; k < p; ++k)
+                mag += std::fabs(a(i, k)) * std::fabs(plan.x[k]);
+            if (r.y[i] != gold[i] &&
+                !withinBound(r.y[i] - gold[i], mag, p + 1, exact))
+                return false;
+        }
+        return true;
+    }
+    // Trisolve divides, so compare residuals, not solutions: forward
+    // substitution in any order solves (L + ΔL)ŷ = b with
+    // |ΔL| ≤ γ_n|L| (Higham, Thm 8.5), and evaluating b − Lŷ adds at
+    // most γ_{n+1}(|b| + |L||ŷ|), so both fit in 2γ_{n+1}(|b| + |L||ŷ|).
+    // An integral system with a unit diagonal has an integral
+    // solution, which every order computes exactly.
+    bool exact = allIntegral(a) && allIntegral(plan.b);
+    for (Index i = 0; exact && i < n; ++i)
+        exact = std::fabs(a(i, i)) == 1.0;
+    if (exact && !allIntegral(r.y))
+        return false;
+    for (Index i = 0; i < n; ++i) {
+        double res = plan.b[i];
+        double mag = std::fabs(plan.b[i]);
+        for (Index k = 0; k <= i; ++k) {
+            res -= a(i, k) * r.y[k];
+            mag += std::fabs(a(i, k)) * std::fabs(r.y[k]);
+        }
+        if (!withinBound(res, mag, n + 1, exact))
+            return false;
+    }
+    return true;
+}
+
 Cycle
 formulaCycles(const std::string &engine_name, const EnginePlan &plan)
 {
@@ -113,26 +208,25 @@ formulaCycles(const std::string &engine_name, const EnginePlan &plan)
     if (w <= 0)
         return -1;
     auto bar = [w](Index n) { return (n + w - 1) / w; };
-    if (engine_name == "linear")
-        return formulas::tMatVec(w, bar(plan.a.rows()),
-                                 bar(plan.a.cols()));
+    const Index rows = bar(plan.a.rows());
+    const Index cols = bar(plan.a.cols());
+    // Grouped runs the linear schedule on ⌈w/2⌉ paired PEs, and
+    // spiral is the hex array with its feedback topology audited:
+    // both keep their parent's step count.
+    if (engine_name == "linear" || engine_name == "grouped")
+        return formulas::tMatVec(w, rows, cols);
     if (engine_name == "overlapped")
-        return formulas::tMatVecOverlap(w, bar(plan.a.rows()),
-                                        bar(plan.a.cols()));
-    if (engine_name == "hex")
-        return formulas::tMatMul(w, bar(plan.a.cols()),
-                                 bar(plan.a.rows()),
-                                 bar(plan.bmat.cols()));
+        return formulas::tMatVecOverlap(w, rows, cols);
+    if (engine_name == "no-feedback")
+        return formulas::tNoFeedback(w, rows, cols);
+    if (engine_name == "hex" || engine_name == "spiral")
+        return formulas::tMatMul(w, cols, rows, bar(plan.bmat.cols()));
     if (engine_name == "mesh")
-        return formulas::tMesh(w, bar(plan.a.cols()),
-                               bar(plan.a.rows()),
-                               bar(plan.bmat.cols()));
+        return formulas::tMesh(w, cols, rows, bar(plan.bmat.cols()));
     if (engine_name == "tri")
-        return formulas::tTriSolve(w, bar(plan.a.rows()));
+        return formulas::tTriSolve(w, rows);
     return -1;
 }
-
-} // namespace
 
 Shard::Shard(const Options &opts)
     : opts_(opts), cache_(opts.planCacheCapacity),

@@ -81,12 +81,34 @@ struct ServeResponse
     /** Wall-clock service time of this request in microseconds. */
     double latencyMicros = 0;
     /** The request's trace, handed through for downstream stamps
-     *  (completion-queue push, writer pop, flush). */
+     *  (cq_push, writer_pop and flush at delivery). */
     std::shared_ptr<RequestTrace> trace;
 };
 
 /** Completion callback for the async submission surface. */
 using CompletionFn = std::function<void(ServeResponse)>;
+
+/**
+ * The cross-check: does @p result agree with the host oracle for
+ * @p plan within the rounding any evaluation order may introduce?
+ * Mat-vec and mat-mul compare componentwise against the oracle
+ * within 2γ_{k+1}·(|A||x| + |b|) (resp. |A||B| + |E|), k the number
+ * of terms per sum; trisolve bounds the residual b − Lŷ by
+ * 2γ_{n+2}·(|b| + |L||ŷ|) (Higham, Accuracy and Stability of
+ * Numerical Algorithms, §3 and Thm 8.5). On integral data whose sums
+ * stay below 2^53 every order is exact, and so is the check.
+ */
+bool matchesOracle(const EnginePlan &plan, const EngineRunResult &result);
+
+/**
+ * The closed-form cycle count T of @p plan on @p engine_name
+ * (analysis/formulas.hh), or -1 for an engine no form covers. Feeds
+ * the serve_cycles_formula_drift gauge: serving-time evidence that
+ * the simulators still track the formulas. Overlapped uses the
+ * paper's balanced form, so an odd block-row count reads as drift.
+ */
+Cycle formulaCycles(const std::string &engine_name,
+                    const EnginePlan &plan);
 
 /**
  * One shard of a serving installation.

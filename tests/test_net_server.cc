@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <map>
 #include <thread>
 
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -72,9 +76,14 @@ triSolveRequest(std::uint64_t seed, Index n = 6, Index w = 3)
 class RawConn
 {
   public:
-    explicit RawConn(std::uint16_t port)
+    /** @p rcvbuf > 0 caps the receive buffer (set before connect, so
+     *  the advertised window honours it). */
+    explicit RawConn(std::uint16_t port, int rcvbuf = 0)
     {
         fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+        if (rcvbuf > 0)
+            ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof(rcvbuf));
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
         addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -96,6 +105,16 @@ class RawConn
 
     /** Half-close: no more writes, reads stay open. */
     void shutdownWrite() { ::shutdown(fd_, SHUT_WR); }
+
+    /** Close with a reset (SO_LINGER 0), as a crashed peer would. */
+    void
+    abort()
+    {
+        linger lg{1, 0};
+        ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+        ::close(fd_);
+        fd_ = -1;
+    }
 
     void
     send(const std::vector<std::uint8_t> &bytes)
@@ -148,6 +167,38 @@ class RawConn
     int fd_ = -1;
     FrameDecoder decoder_;
 };
+
+/** Open descriptors right now (via /proc/self/fd). */
+int
+openFdCount()
+{
+    DIR *d = ::opendir("/proc/self/fd");
+    if (!d)
+        return -1;
+    int n = 0;
+    while (::readdir(d))
+        ++n;
+    ::closedir(d);
+    // Subtract ".", "..", and the dirfd itself.
+    return n - 3;
+}
+
+/** Poll @p pred every 10 ms for up to @p seconds. */
+template <typename Pred>
+bool
+eventually(Pred &&pred, double seconds = 10.0)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(seconds));
+    while (!pred()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return true;
+}
 
 //---------------------------------------------------------------------
 // Happy paths
@@ -544,6 +595,219 @@ TEST(NetServer, StopWhileClientsConnectedIsClean)
     // hang.
     r = client.submit(matVecRequest(2));
     EXPECT_FALSE(r.transportOk);
+}
+
+//---------------------------------------------------------------------
+// Delivery from the shard workers: backpressure and lifetimes
+//---------------------------------------------------------------------
+
+TEST(NetServer, PipelinePastOutputCapStopsReadsUntilClientReads)
+{
+    // Responses are queued and written by the shard workers, not the
+    // IO thread; the worker whose response pushes a connection over
+    // maxQueuedOutputBytes must still get the IO thread to stop
+    // reading from it. A client that pipelines without reading thus
+    // stalls at a bounded frame count, and is answered in full once
+    // it reads.
+    NetServer::Options opts = smallServerOptions();
+    opts.maxQueuedOutputBytes = 16u << 10;
+    NetServer server(opts);
+    ASSERT_TRUE(server.start()) << server.error();
+
+    RawConn conn(server.port(), /*rcvbuf=*/4096);
+    ASSERT_TRUE(conn.ok());
+    // 32 KiB responses (C is 64×64) from a cheap product (inner
+    // dimension 8): the kernel socket buffers absorb a bounded number,
+    // the rest must wait in the server's output queue.
+    constexpr int kRequests = 300;
+    ServeRequest req;
+    req.engine = "mesh";
+    req.plan = EnginePlan::matMul(randomIntDense(64, 8, 4400),
+                                  randomIntDense(8, 64, 4401),
+                                  randomIntDense(64, 64, 4402), 8);
+    req.plan.mode = ExecMode::Fast;
+    std::vector<std::uint8_t> submit = buildSubmitFrame(0, req);
+    std::thread sender([&] {
+        for (int i = 0; i < kRequests; ++i) {
+            // At most 8 requests ahead of the responses: the pipeline
+            // advances exactly as fast as the server reads and serves
+            // it, however slow serving is, and stalls when reads stop.
+            while (static_cast<std::uint64_t>(i) >
+                   server.netStats().responsesSent + 8)
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            // Same request under a fresh tag: patch the header's tag.
+            const std::uint64_t tag = static_cast<std::uint64_t>(i);
+            std::memcpy(submit.data() + 8, &tag, sizeof(tag));
+            conn.send(submit);
+        }
+    });
+
+    // framesReceived stops growing short of the whole pipeline.
+    std::uint64_t plateau = 0;
+    ASSERT_TRUE(eventually([&] {
+        const std::uint64_t before = server.netStats().framesReceived;
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        plateau = server.netStats().framesReceived;
+        return plateau > 0 && plateau == before;
+    })) << "reads never stopped";
+    EXPECT_LT(plateau, static_cast<std::uint64_t>(kRequests));
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    EXPECT_EQ(server.netStats().framesReceived, plateau);
+
+    // Reading drains the queue; reads resume and every tag is
+    // answered exactly once.
+    const Dense<Scalar> gold = matMulAdd(req.plan.a, req.plan.bmat,
+                                         req.plan.e);
+    std::vector<int> answers(kRequests, 0);
+    for (int i = 0; i < kRequests; ++i) {
+        Frame frame;
+        ASSERT_TRUE(conn.readFrame(&frame)) << "response " << i;
+        ASSERT_EQ(frame.header.type,
+                  static_cast<std::uint16_t>(FrameType::Response));
+        ASSERT_LT(frame.header.tag,
+                  static_cast<std::uint64_t>(kRequests));
+        ++answers[static_cast<std::size_t>(frame.header.tag)];
+        if (i % 50 == 0) {
+            WireResponse resp;
+            std::string err;
+            ASSERT_TRUE(decodeResponse(frame.payload, &resp, &err))
+                << err;
+            ASSERT_TRUE(resp.ok) << resp.error;
+            EXPECT_TRUE(resp.c == gold) << "tag " << frame.header.tag;
+        }
+    }
+    sender.join();
+    for (int i = 0; i < kRequests; ++i)
+        EXPECT_EQ(answers[static_cast<std::size_t>(i)], 1) << "tag " << i;
+    EXPECT_EQ(server.netStats().framesReceived,
+              static_cast<std::uint64_t>(kRequests));
+    EXPECT_EQ(server.netStats().responsesSent,
+              static_cast<std::uint64_t>(kRequests));
+}
+
+TEST(NetServer, AbruptCloseWithSimulateBatchInFlightLeaksNothing)
+{
+    // A client resets its connection while a pipelined Simulate batch
+    // is still being served: its completions reach a dead (or dying)
+    // connection from the shard workers. Another client keeps being
+    // served, the owed count drains, and the server's fd goes too.
+    NetServer server(smallServerOptions());
+    ASSERT_TRUE(server.start()) << server.error();
+    NetClient control;
+    ASSERT_TRUE(control.connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(control.ping());
+    const int fds_before = openFdCount();
+    ASSERT_GT(fds_before, 0);
+
+    constexpr int kBatch = 24;
+    {
+        RawConn conn(server.port());
+        ASSERT_TRUE(conn.ok());
+        for (int i = 0; i < kBatch; ++i)
+            conn.send(buildSubmitFrame(
+                static_cast<std::uint64_t>(i),
+                matMulRequest(5100 + static_cast<std::uint64_t>(i),
+                              /*n=*/24, /*w=*/4)));
+        ASSERT_TRUE(eventually([&] {
+            return server.netStats().framesReceived >=
+                   static_cast<std::uint64_t>(kBatch) + 1;
+        }));
+        conn.abort();
+    }
+
+    for (int i = 0; i < 5; ++i) {
+        ServeRequest req = matVecRequest(5200 + i);
+        NetClient::Result r = control.submit(req);
+        ASSERT_TRUE(r.transportOk) << r.transportError;
+        ASSERT_TRUE(r.response.ok) << r.response.error;
+        EXPECT_TRUE(NetClient::matchesOracle(req, r.response));
+    }
+
+    // Every request of the batch was served (and its response
+    // dropped or written into the reset socket), nothing stays owed,
+    // and the server-side socket is closed.
+    EXPECT_TRUE(eventually([&] {
+        return server.cluster().statsSnapshot().requests ==
+               static_cast<std::uint64_t>(kBatch) + 5;
+    }));
+    EXPECT_TRUE(eventually([&] { return server.responsesOwed() == 0; }));
+    EXPECT_TRUE(eventually([&] { return openFdCount() == fds_before; }))
+        << openFdCount() << " fds open, " << fds_before << " before";
+    EXPECT_TRUE(control.ping()) << control.lastError();
+}
+
+TEST(NetServer, SnapshotFramesInterleaveWithPipelinedSubmits)
+{
+    // STATS, METRICS and TRACES are answered inline on the IO thread
+    // while SUBMIT responses arrive from the shard workers; on one
+    // pipelined connection every tag still gets exactly one answer
+    // of the right type.
+    NetServer::Options opts = smallServerOptions();
+    opts.trace.enabled = true;
+    opts.trace.sampleEvery = 1;
+    NetServer server(opts);
+    ASSERT_TRUE(server.start()) << server.error();
+
+    RawConn conn(server.port());
+    ASSERT_TRUE(conn.ok());
+    const FrameType snapshots[] = {FrameType::Stats, FrameType::Metrics,
+                                   FrameType::Traces};
+    std::map<std::uint64_t, FrameType> expected;
+    std::map<std::uint64_t, ServeRequest> submitted;
+    std::vector<std::uint8_t> pipeline;
+    for (std::uint64_t tag = 0; tag < 60; ++tag) {
+        std::vector<std::uint8_t> frame;
+        if (tag % 4 == 3) {
+            const FrameType type = snapshots[(tag / 4) % 3];
+            frame = buildFrame(type, tag, {});
+            expected[tag] = type;
+        } else {
+            ServeRequest req = tag % 2 ? triSolveRequest(6000 + tag)
+                                       : matVecRequest(6000 + tag);
+            frame = buildSubmitFrame(tag, req);
+            submitted[tag] = req;
+            expected[tag] = FrameType::Response;
+        }
+        pipeline.insert(pipeline.end(), frame.begin(), frame.end());
+    }
+    conn.send(pipeline);
+
+    std::map<std::uint64_t, int> answers;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        Frame frame;
+        ASSERT_TRUE(conn.readFrame(&frame)) << "answer " << i;
+        auto it = expected.find(frame.header.tag);
+        ASSERT_NE(it, expected.end()) << "tag " << frame.header.tag;
+        EXPECT_EQ(frame.header.type,
+                  static_cast<std::uint16_t>(it->second))
+            << "tag " << frame.header.tag;
+        ++answers[frame.header.tag];
+        std::string err;
+        if (it->second == FrameType::Response) {
+            WireResponse resp;
+            ASSERT_TRUE(decodeResponse(frame.payload, &resp, &err))
+                << err;
+            EXPECT_TRUE(resp.ok) << resp.error;
+            EXPECT_TRUE(NetClient::matchesOracle(
+                submitted[frame.header.tag], resp));
+        } else if (it->second == FrameType::Stats) {
+            ServerStats stats;
+            EXPECT_TRUE(decodeStats(frame.payload, &stats, &err)) << err;
+        } else if (it->second == FrameType::Metrics) {
+            MetricsSnapshot snap;
+            EXPECT_TRUE(decodeMetrics(frame.payload, &snap, &err))
+                << err;
+        } else {
+            std::vector<RequestTrace> traces;
+            std::uint64_t total = 0;
+            EXPECT_TRUE(
+                decodeTraces(frame.payload, &traces, &total, &err))
+                << err;
+        }
+    }
+    for (const auto &entry : expected)
+        EXPECT_EQ(answers[entry.first], 1) << "tag " << entry.first;
+    EXPECT_EQ(server.responsesOwed(), 0u);
 }
 
 //---------------------------------------------------------------------

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <future>
 
+#include "base/error.hh"
 #include "base/heap.hh"
 #include "engine/registry.hh"
 #include "mat/generate.hh"
@@ -816,6 +818,221 @@ TEST(Server, CrossCheckModeValidatesEveryTopology)
     }
     EXPECT_EQ(server.stats().crossCheckFailures, 0u);
     EXPECT_GE(server.stats().requests, 8u);
+}
+
+TEST(Server, OverlappedWithOneBlockRowIsAnErrorNotACrash)
+{
+    // The overlapped split needs two block rows; a request with one
+    // used to trip an internal assertion and abort the process.
+    Server server;
+    for (ExecMode mode :
+         {ExecMode::Simulate, ExecMode::Fast, ExecMode::Validate}) {
+        ServeRequest req;
+        req.engine = "overlapped";
+        req.plan = EnginePlan::matVec(randomIntDense(3, 7, 61),
+                                      randomIntVec(7, 62),
+                                      randomIntVec(3, 63), 3);
+        req.plan.mode = mode;
+        ServeResponse resp = server.submit(std::move(req)).get();
+        EXPECT_FALSE(resp.ok);
+        EXPECT_NE(resp.error.find("two block rows"), std::string::npos)
+            << resp.error;
+    }
+    ServeRequest ok;
+    ok.engine = "overlapped";
+    ok.plan = EnginePlan::matVec(randomIntDense(4, 7, 61),
+                                 randomIntVec(7, 62), randomIntVec(4, 63),
+                                 3);
+    EXPECT_TRUE(server.submit(std::move(ok)).get().ok);
+}
+
+//---------------------------------------------------------------------
+// The cross-check oracle on real-valued and integer data.
+//---------------------------------------------------------------------
+
+/** Lower-triangular real matrix, diagonal in [1, 2): well enough
+ *  conditioned that forward substitution stays accurate. */
+Dense<Scalar>
+realLowerTriangular(Index n, std::uint64_t seed)
+{
+    Dense<Scalar> l = randomRealDense(n, n, seed);
+    for (Index i = 0; i < n; ++i) {
+        l(i, i) = 1.0 + std::fabs(l(i, i));
+        for (Index j = i + 1; j < n; ++j)
+            l(i, j) = 0;
+    }
+    return l;
+}
+
+/** A real-valued request of @p engine's kind (n×n, w = 3). */
+ServeRequest
+realRequest(const std::string &engine, std::uint64_t seed)
+{
+    const Index n = 11, w = 3;
+    ServeRequest req;
+    req.engine = engine;
+    switch (makeEngine(engine)->kind()) {
+    case ProblemKind::MatVec:
+        req.plan = EnginePlan::matVec(randomRealDense(n, n, seed),
+                                      randomRealVec(n, seed + 1),
+                                      randomRealVec(n, seed + 2), w);
+        break;
+    case ProblemKind::MatMul:
+        req.plan = EnginePlan::matMul(randomRealDense(n, n, seed),
+                                      randomRealDense(n, n, seed + 1),
+                                      randomRealDense(n, n, seed + 2), w);
+        break;
+    case ProblemKind::TriSolve:
+        req.plan = EnginePlan::triSolve(realLowerTriangular(n, seed),
+                                        randomRealVec(n, seed + 1), w);
+        break;
+    }
+    return req;
+}
+
+/** Scale the first result component by (1 + @p rel). */
+EngineRunResult
+perturbed(EngineRunResult r, ProblemKind kind, double rel)
+{
+    if (kind == ProblemKind::MatMul)
+        r.c(0, 0) += rel * (r.c(0, 0) == 0 ? 1.0 : r.c(0, 0));
+    else
+        r.y[0] += rel * (r.y[0] == 0 ? 1.0 : r.y[0]);
+    return r;
+}
+
+TEST(ServeOracle, RealValuedValidateRequestPassesOnEveryEngine)
+{
+    // Every engine's summation order differs from the host oracle's,
+    // so on real data the results differ in the last bits; the
+    // cross-check must accept that and still pass Validate's diff.
+    Server::Options opts;
+    opts.threads = 2;
+    Server server(opts);
+    std::vector<std::string> names = engineNames();
+    std::vector<std::future<ServeResponse>> futures;
+    for (const std::string &name : names) {
+        ServeRequest req = realRequest(name, 4100);
+        req.plan.mode = ExecMode::Validate;
+        req.crossCheck = true;
+        futures.push_back(server.submit(std::move(req)));
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        ServeResponse resp = futures[i].get();
+        ASSERT_TRUE(resp.ok) << names[i] << ": " << resp.error;
+        EXPECT_TRUE(resp.crossCheckOk) << names[i];
+    }
+    EXPECT_EQ(server.stats().crossCheckFailures, 0u);
+}
+
+TEST(ServeOracle, ResultPerturbedWellAboveTheBoundFails)
+{
+    int inexact = 0;
+    for (const std::string &name : engineNames()) {
+        ServeRequest req = realRequest(name, 4200);
+        const EngineRunResult r = makeEngine(name)->run(req.plan);
+        ASSERT_TRUE(matchesOracle(req.plan, r)) << name;
+        const bool bit_equal =
+            req.plan.kind == ProblemKind::MatMul
+                ? r.c == matMulAdd(req.plan.a, req.plan.bmat, req.plan.e)
+            : req.plan.kind == ProblemKind::MatVec
+                ? r.y == matVec(req.plan.a, req.plan.x, req.plan.b)
+                : r.y == forwardSolve(req.plan.a, req.plan.b);
+        inexact += bit_equal ? 0 : 1;
+        // The bound is about 2γ_12·|terms| ≈ 1e-14 relative here.
+        EXPECT_FALSE(
+            matchesOracle(req.plan, perturbed(r, req.plan.kind, 1e-9)))
+            << name;
+    }
+    // An exact comparison would have failed these correct results.
+    EXPECT_GT(inexact, 0);
+}
+
+TEST(ServeOracle, IntegerDataStaysExact)
+{
+    // Integral operands with sums below 2^53 are computed exactly in
+    // any order, so one ulp off is already a failure.
+    const Index n = 7, w = 2;
+    for (const std::string &name : engineNames()) {
+        ServeRequest req;
+        req.engine = name;
+        switch (makeEngine(name)->kind()) {
+        case ProblemKind::MatVec:
+            req.plan = EnginePlan::matVec(randomIntDense(n, n, 43),
+                                          randomIntVec(n, 44),
+                                          randomIntVec(n, 45), w);
+            break;
+        case ProblemKind::MatMul:
+            req.plan = EnginePlan::matMul(randomIntDense(n, n, 43),
+                                          randomIntDense(n, n, 44),
+                                          randomIntDense(n, n, 45), w);
+            break;
+        case ProblemKind::TriSolve:
+            req.plan = EnginePlan::triSolve(
+                randomUnitLowerTriangular(n, 43), randomIntVec(n, 44), w);
+            break;
+        }
+        const EngineRunResult r = makeEngine(name)->run(req.plan);
+        ASSERT_TRUE(matchesOracle(req.plan, r)) << name;
+        EngineRunResult ulp = r;
+        if (req.plan.kind == ProblemKind::MatMul)
+            ulp.c(0, 0) = std::nextafter(ulp.c(0, 0), 1e300);
+        else
+            ulp.y[0] = std::nextafter(ulp.y[0], 1e300);
+        EXPECT_FALSE(matchesOracle(req.plan, ulp)) << name;
+    }
+}
+
+//---------------------------------------------------------------------
+// Serve-time T against each engine's closed form.
+//---------------------------------------------------------------------
+
+TEST(ServeFormula, SimulatedTEqualsEachEnginesFormOverAShapeSweep)
+{
+    for (const std::string &name : engineNames()) {
+        auto engine = makeEngine(name);
+        for (Index w : {2, 3, 4}) {
+            for (Index n : {w, 2 * w, 2 * w + 1, 3 * w - 1, 4 * w}) {
+                const Index nbar = (n + w - 1) / w;
+                EnginePlan plan;
+                switch (engine->kind()) {
+                case ProblemKind::MatVec:
+                    // Non-square too: n̄ ≠ m̄.
+                    plan = EnginePlan::matVec(
+                        randomIntDense(n, n + w, 51), randomIntVec(n + w, 52),
+                        randomIntVec(n, 53), w);
+                    break;
+                case ProblemKind::MatMul:
+                    plan = EnginePlan::matMul(
+                        randomIntDense(n, n + w, 51),
+                        randomIntDense(n + w, 2 * w, 52),
+                        randomIntDense(n, 2 * w, 53), w);
+                    break;
+                case ProblemKind::TriSolve:
+                    plan = EnginePlan::triSolve(
+                        randomUnitLowerTriangular(n, 51),
+                        randomIntVec(n, 52), w);
+                    break;
+                }
+                const Cycle form = formulaCycles(name, plan);
+                ASSERT_GT(form, 0) << name << " has no closed form";
+                if (name == "overlapped" && nbar < 2) {
+                    // One block row cannot be split: refused.
+                    EXPECT_THROW(engine->run(plan), EngineError);
+                    continue;
+                }
+                const Cycle t = engine->run(plan).stats.cycles;
+                if (name == "overlapped" && nbar % 2 == 1) {
+                    // The paper's form assumes two equal halves; an
+                    // odd block-row count splits unevenly and runs
+                    // longer, which the drift gauge then shows.
+                    EXPECT_GT(t, form) << name << " w=" << w << " n=" << n;
+                    continue;
+                }
+                EXPECT_EQ(t, form) << name << " w=" << w << " n=" << n;
+            }
+        }
+    }
 }
 
 TEST(Server, DestructionDrainsQueuedRequests)
